@@ -56,6 +56,10 @@ class CypProbe final : public Probe {
  public:
   explicit CypProbe(CypProbeParams params);
 
+  std::unique_ptr<Probe> clone() const override {
+    return std::make_unique<CypProbe>(*this);
+  }
+
   const std::string& name() const override { return params_.isoform; }
   Technique technique() const override { return Technique::kCyclicVoltammetry; }
   double area() const override { return params_.area; }

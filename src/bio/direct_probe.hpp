@@ -35,6 +35,10 @@ class DirectProbe final : public Probe {
  public:
   explicit DirectProbe(DirectProbeParams params);
 
+  std::unique_ptr<Probe> clone() const override {
+    return std::make_unique<DirectProbe>(*this);
+  }
+
   const std::string& name() const override { return params_.name; }
   Technique technique() const override { return Technique::kChronoamperometry; }
   double area() const override { return params_.area; }

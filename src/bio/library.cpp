@@ -6,6 +6,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <mutex>
 
 #include "bio/cyp_probe.hpp"
 #include "bio/direct_probe.hpp"
@@ -279,20 +283,70 @@ ProbePtr make_direct(const TargetSpec& s, double area) {
   return std::make_unique<DirectProbe>(std::move(p));
 }
 
+/// Everything a factory build depends on. Area and gain are keyed by bit
+/// pattern: equal bits give bit-identical builds, and NaN cannot break the
+/// ordering.
+struct PrototypeKey {
+  std::vector<TargetId> ids;
+  std::uint64_t area_bits;
+  std::uint64_t gain_bits;
+  auto operator<=>(const PrototypeKey&) const = default;
+};
+
+struct PrototypeCache {
+  std::mutex mutex;
+  std::map<PrototypeKey, ProbePtr> prototypes;  ///< never stepped, never erased
+};
+
+PrototypeCache& prototype_cache() {
+  static PrototypeCache cache;
+  return cache;
+}
+
+/// Clone of the calibrated prototype for (ids, area, gain), built by `build`
+/// on the first request. Callers validate their inputs first, so a cached
+/// key can never mask an argument error. The build runs outside the lock;
+/// a concurrent builder of the same key produces a bitwise identical probe,
+/// the first insert wins and the duplicate is discarded. A build that throws
+/// caches nothing.
+template <typename Build>
+ProbePtr clone_prototype(std::span<const TargetId> ids, double area,
+                         double gain, Build build) {
+  PrototypeCache& cache = prototype_cache();
+  PrototypeKey key{{ids.begin(), ids.end()},
+                   std::bit_cast<std::uint64_t>(area),
+                   std::bit_cast<std::uint64_t>(gain)};
+  const Probe* prototype = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(cache.mutex);
+    const auto it = cache.prototypes.find(key);
+    if (it != cache.prototypes.end()) prototype = it->second.get();
+  }
+  if (prototype == nullptr) {
+    ProbePtr built = build();
+    const std::lock_guard<std::mutex> lock(cache.mutex);
+    prototype =
+        cache.prototypes.try_emplace(std::move(key), std::move(built))
+            .first->second.get();
+  }
+  // Prototypes are only ever read after insertion, so cloning needs no lock.
+  return prototype->clone();
+}
+
 }  // namespace
 
 ProbePtr make_probe(TargetId id, double area, double sensitivity_gain) {
   util::require(sensitivity_gain > 0.0, "gain must be positive");
   const TargetSpec& s = spec(id);
-  switch (s.family) {
-    case ProbeFamily::kOxidase:
-      return make_oxidase(s, area, sensitivity_gain);
-    case ProbeFamily::kDirectOxidation:
-      return make_direct(s, area);  // diffusion-limited: gain inapplicable
-    case ProbeFamily::kCytochromeP450: break;
-  }
   const std::array<TargetId, 1> one = {id};
-  return make_cyp_probe(one, area, sensitivity_gain);
+  if (s.family == ProbeFamily::kCytochromeP450) {
+    return make_cyp_probe(one, area, sensitivity_gain);
+  }
+  return clone_prototype(one, area, sensitivity_gain, [&] {
+    return s.family == ProbeFamily::kOxidase
+               ? make_oxidase(s, area, sensitivity_gain)
+               : make_direct(s, area);  // diffusion-limited: gain inapplicable
+  });
 }
 
 ProbePtr make_cyp_probe(std::span<const TargetId> ids, double area,
@@ -302,19 +356,23 @@ ProbePtr make_cyp_probe(std::span<const TargetId> ids, double area,
   const TargetSpec& first = spec(ids.front());
   util::require(first.family == ProbeFamily::kCytochromeP450,
                 "not a CYP-sensed target: " + to_string(ids.front()));
-  CypProbeParams p;
-  p.isoform = first.probe_name;
-  p.area = area;
-  double noise = 0.0;
   for (TargetId id : ids) {
-    const TargetSpec& s = spec(id);
-    util::require(s.probe_name == first.probe_name,
+    util::require(spec(id).probe_name == first.probe_name,
                   "targets use different CYP isoforms: " + to_string(id));
-    p.targets.push_back(cyp_target(s, sensitivity_gain));
-    noise = std::max(noise, blank_noise_for(s, area));
   }
-  p.blank_noise_rms = noise;
-  return std::make_unique<CypProbe>(std::move(p));
+  return clone_prototype(ids, area, sensitivity_gain, [&] {
+    CypProbeParams p;
+    p.isoform = first.probe_name;
+    p.area = area;
+    double noise = 0.0;
+    for (TargetId id : ids) {
+      const TargetSpec& s = spec(id);
+      p.targets.push_back(cyp_target(s, sensitivity_gain));
+      noise = std::max(noise, blank_noise_for(s, area));
+    }
+    p.blank_noise_rms = noise;
+    return ProbePtr(std::make_unique<CypProbe>(std::move(p)));
+  });
 }
 
 ProbePtr make_table1_probe(const Table1Row& row, double area) {

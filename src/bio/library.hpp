@@ -87,6 +87,18 @@ struct Table3Row {
 std::span<const Table3Row> table3_performance();
 
 // --- probe factories ---------------------------------------------------------
+//
+// A factory probe's calibration (the oxidase enzyme-loading search, the CYP
+// turnover search) depends only on the target ids, the area and the gain, so
+// each factory calibrates a design once per process and memoises it as a
+// prototype keyed on exactly those three values (area and gain by bit
+// pattern). Every call returns a fresh clone() of that prototype: a deep
+// copy the caller owns, bit-identical to a newly calibrated probe, that
+// shares no state with the prototype or with other clones. Stepping, aging
+// or re-concentrating a returned probe never affects a later call. The cache
+// is thread-safe and never evicts (one prototype per distinct design). Input
+// errors are checked before the cache is consulted and a failed build is
+// never cached, so an invalid call throws std::invalid_argument every time.
 
 /// Build a calibrated probe for a single target on an electrode of the given
 /// geometric area. Oxidase targets yield an OxidaseProbe, CYP targets a

@@ -81,6 +81,10 @@ class OxidaseProbe final : public Probe {
  public:
   explicit OxidaseProbe(OxidaseProbeParams params);
 
+  std::unique_ptr<Probe> clone() const override {
+    return std::make_unique<OxidaseProbe>(*this);
+  }
+
   const std::string& name() const override { return params_.name; }
   Technique technique() const override { return Technique::kChronoamperometry; }
   double area() const override { return params_.area; }

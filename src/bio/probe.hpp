@@ -32,6 +32,12 @@ class Probe {
  public:
   virtual ~Probe() = default;
 
+  /// Deep copy of the probe's whole state: calibrated kinetics, diffusion
+  /// fields, bulk concentrations and applied sensor condition. The copy
+  /// steps independently of the original and produces bit-identical
+  /// traces to it from the same state.
+  virtual std::unique_ptr<Probe> clone() const = 0;
+
   /// Descriptive name, e.g. "glucose oxidase / MWCNT".
   virtual const std::string& name() const = 0;
 

@@ -61,9 +61,10 @@ ElaboratedPlatform::ElaboratedPlatform(PlatformCandidate candidate,
       catalog.mux_for(std::max<std::size_t>(candidate_.electrodes.size(), 1))
           .model;
 
-  // Probe construction runs the expensive secant calibration sweeps; each
-  // electrode's probe is independent, so build them concurrently into
-  // pre-assigned slots (bitwise identical to sequential construction).
+  // The first probe of a design runs the secant calibration sweeps (later
+  // ones clone the factory's calibrated prototype); each electrode's probe
+  // is independent, so acquire them concurrently into pre-assigned slots
+  // (bitwise identical to sequential construction).
   probes_.resize(candidate_.electrodes.size());
   const sim::BatchRunner builder(options_.parallelism);
   builder.run(candidate_.electrodes.size(), [&](std::size_t i) {

@@ -142,9 +142,11 @@ double DiagnosticsService::measure(Session& session, std::uint32_t channel,
       age_days, fault::SensorSite{session.site_id(), channel});
 
   // Every measurement owns a fresh probe and front end seeded from its
-  // leased run id: the price of a probe build per request is what buys
-  // order-independence (persistent probes/front ends would carry noise
-  // and chemistry state from whichever request ran before).
+  // leased run id, which buys order-independence (persistent probes/front
+  // ends would carry noise and chemistry state from whichever request ran
+  // before). The probe is a clone of the factory's calibrated prototype
+  // for this design (one calibration per process), so a request pays a
+  // copy of its diffusion fields, not a calibration search.
   bio::ProbePtr probe = quant::make_campaign_probe(store_.config(), target_id);
   probe->set_bulk_concentration(bio::to_string(target_id), concentration_mM);
   afe::AnalogFrontEnd frontend(quant::campaign_frontend_config(
