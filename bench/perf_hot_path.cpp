@@ -2,7 +2,8 @@
 /// Hot-path performance trajectory bench: times the tridiagonal solver
 /// kernel (scalar and SoA lane-batched), a single diffusion-field step,
 /// single-channel CA/CV runs, the multiplexed panel scan at several
-/// (parallelism, lane width) points and a full design-space exploration.
+/// (parallelism, lane width) points, replayed CYP reads in lockstep lanes
+/// of width 1..8 and a full design-space exploration.
 /// Writes google-benchmark JSON to
 /// BENCH_hot_path.json (override with --benchmark_out=...) so successive
 /// PRs accumulate a measurable performance history.
@@ -24,6 +25,7 @@
 #include "chem/tridiag.hpp"
 #include "core/explorer.hpp"
 #include "core/panel.hpp"
+#include "quant/calibration_store.hpp"
 #include "sim/engine.hpp"
 #include "util/thread_pool.hpp"
 
@@ -259,6 +261,51 @@ BENCHMARK(BM_MixedPanelScan)
     ->Arg(0)
     ->ArgName("parallelism")
     ->UseRealTime();
+
+// ------------------------------------------------------------- CYP lanes
+
+/// W replayed CYP reads -- the serve CV protocol for benzphetamine (12000
+/// steps, potentiostat iR feedback), one campaign probe and front end each
+/// -- stepped in one lockstep job of W lanes at parallelism 1. W=1 is the
+/// scalar CypProbe path; `per_measurement` is the wall time per read,
+/// which the lanes cut by sharing one SoA drug-field solve.
+void BM_CypLanes(benchmark::State& state) {
+  const auto w = static_cast<std::size_t>(state.range(0));
+  const quant::CampaignConfig campaign;
+  const bio::TargetId target = bio::TargetId::kBenzphetamine;
+  std::vector<bio::ProbePtr> probes;
+  std::vector<std::unique_ptr<afe::AnalogFrontEnd>> fes;
+  std::vector<sim::Measurement> measurements;
+  for (std::size_t i = 0; i < w; ++i) {
+    probes.push_back(quant::make_campaign_probe(campaign, target));
+    probes.back()->set_bulk_concentration(
+        "benzphetamine", 0.3 + 0.1 * static_cast<double>(i));
+    fes.push_back(std::make_unique<afe::AnalogFrontEnd>(
+        quant::campaign_frontend_config(campaign, 10 + i)));
+    measurements.push_back(sim::Measurement{
+        i + 1, sim::Channel{probes.back().get(), nullptr},
+        quant::default_protocol_for(campaign, target), fes.back().get()});
+  }
+  sim::EngineConfig cfg;
+  cfg.batch_lanes = w;
+  const sim::MeasurementEngine engine{cfg};
+  for (auto _ : state) {
+    engine.run_measurements(measurements, 1,
+                            [](std::size_t, sim::MeasurementResult&& r) {
+                              benchmark::DoNotOptimize(r.voltammogram.size());
+                            });
+  }
+  state.counters["per_measurement"] = benchmark::Counter(
+      static_cast<double>(w), benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CypLanes)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->ArgName("lanes")
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------- explorer
 

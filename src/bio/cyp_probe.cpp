@@ -14,8 +14,6 @@ namespace idp::bio {
 
 namespace {
 
-constexpr int kElectronsPerTurnover = 2;  // Eq. 4: 2 e- per substrate
-
 chem::Grid1D drug_grid(const CypProbeParams& p) {
   return chem::Grid1D::expanding(2.0e-6, 1.15, p.nernst_layer);
 }
@@ -33,7 +31,7 @@ double derive_kcat(const CypProbeParams& probe, const CypTargetParams& target) {
   // current per area is  i/A = n F kcat Gamma_k C / km  for C << km, so
   //   kcat = S km / (n F Gamma_k).
   return target.sensitivity * target.km /
-         (kElectronsPerTurnover * util::kFaraday * coverage_k);
+         (CypProbe::kElectronsPerTurnover * util::kFaraday * coverage_k);
 }
 
 CypProbe::CypProbe(CypProbeParams params) : params_(std::move(params)) {
@@ -154,6 +152,21 @@ void CypProbe::calibrate_turnover() {
 double CypProbe::kcat(std::size_t k) const {
   util::require(k < states_.size(), "target index out of range");
   return states_[k].kcat;
+}
+
+const chem::RedoxCouple& CypProbe::heme(std::size_t k) const {
+  util::require(k < states_.size(), "target index out of range");
+  return states_[k].heme;
+}
+
+double CypProbe::coverage(std::size_t k) const {
+  util::require(k < states_.size(), "target index out of range");
+  return states_[k].coverage;
+}
+
+double CypProbe::bulk_concentration(std::size_t k) const {
+  util::require(k < states_.size(), "target index out of range");
+  return states_[k].bulk;
 }
 
 std::vector<std::string> CypProbe::targets() const {

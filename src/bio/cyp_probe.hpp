@@ -54,6 +54,9 @@ double derive_kcat(const CypProbeParams& probe, const CypTargetParams& target);
 /// Concrete CYP450 film probe (cyclic voltammetry).
 class CypProbe final : public Probe {
  public:
+  /// Eq. 4: two electrons per substrate turnover.
+  static constexpr int kElectronsPerTurnover = 2;
+
   explicit CypProbe(CypProbeParams params);
 
   std::unique_ptr<Probe> clone() const override {
@@ -82,8 +85,23 @@ class CypProbe final : public Probe {
   double reduction_potential(std::size_t k) const;
   std::size_t target_count() const { return states_.size(); }
 
-  /// Calibrated turnover of target k [1/s] (for white-box tests).
+  /// Calibrated turnover of target k [1/s] (for white-box tests and the
+  /// lane batcher).
   double kcat(std::size_t k) const;
+
+  // --- lane-batching hooks ---------------------------------------------
+  // CypLaneBatch steps W probes in lockstep through one SoA solve (one lane
+  // per target); it reads the calibrated state through these accessors and
+  // must reproduce step() bit-for-bit per probe.
+  const CypProbeParams& params() const { return params_; }
+  /// Shared grid of every target's drug field.
+  const chem::Grid1D& grid() const { return states_.front().drug.grid(); }
+  /// Surface couple of target k's heme sub-population.
+  const chem::RedoxCouple& heme(std::size_t k) const;
+  /// Sub-population coverage of target k [mol/m^2].
+  double coverage(std::size_t k) const;
+  /// Configured bulk concentration of target k [mol/m^3].
+  double bulk_concentration(std::size_t k) const;
 
  private:
   struct TargetState {

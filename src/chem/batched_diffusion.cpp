@@ -26,6 +26,7 @@ BatchedDiffusionField::BatchedDiffusionField(Grid1D grid, std::size_t lanes)
   k_het_.assign(lanes_, 0.0);
   injection_.assign(lanes_, 0.0);
   flux_.assign(lanes_, 0.0);
+  a01_.assign(lanes_, 0.0);
   d_.assign(n * lanes_, 0.0);
   d_face_.assign((n - 1) * lanes_, 0.0);
   c_.assign(n * lanes_, 0.0);
@@ -83,10 +84,12 @@ void BatchedDiffusionField::rebuild_face_diffusivity(std::size_t lane) {
     const double harmonic = 2.0 * di * dj / (di + dj);
     d_face_[i * lanes_ + lane] = scale == 1.0 ? harmonic : scale * harmonic;
   }
+  bands_dt_ = 0.0;
 }
 
 void BatchedDiffusionField::set_far_boundary(std::size_t lane, FarBoundary fb) {
   check_lane(lane);
+  if (fb != far_[lane]) bands_dt_ = 0.0;
   far_[lane] = fb;
 }
 
@@ -146,29 +149,20 @@ double BatchedDiffusionField::electrode_flux(std::size_t lane) const {
   return flux_[lane];
 }
 
-void BatchedDiffusionField::step(double dt) {
-  util::require(dt > 0.0, "dt must be positive");
-  util::require(configured_ == lanes_, "unconfigured lane in batched step");
+void BatchedDiffusionField::assemble_bands(double dt) {
   const std::size_t n = grid_.size();
   const std::size_t W = lanes_;
 
-  // Node 0 (electrode): half cell with Robin consumption + injection. The
-  // geometric factors are lane-invariant and hoisted; each lane's a01 is the
-  // same dt*d_face/ (h*w) quotient as the scalar assembly.
+  // Node 0 (electrode): half cell with Robin consumption + injection; the
+  // k_het part of its diagonal is added per step. The geometric factors are
+  // lane-invariant and hoisted; each lane's a01 is the same dt*d_face/(h*w)
+  // quotient as the scalar assembly.
   {
-    const double w0 = grid_.cv(0);
-    const double h0w0 = grid_.h(0) * w0;
-    // The band, concentration, source and per-lane parameter arrays are
-    // separately owned vectors that never alias; `ivdep` tells the
-    // vectorizer so (it cannot prove it across this many pointers and
-    // bails out otherwise, leaving the division-heavy assembly scalar).
-#pragma GCC ivdep
+    const double h0w0 = grid_.h(0) * grid_.cv(0);
     for (std::size_t l = 0; l < W; ++l) {
-      const double a01 = dt * d_face_[l] / h0w0;
-      upper_[l] = -a01;
-      diag_[l] = 1.0 + a01 + dt * k_het_[l] / w0;
+      a01_[l] = dt * d_face_[l] / h0w0;
+      upper_[l] = -a01_[l];
       lower_[l] = 0.0;
-      rhs_[l] = c_[l] + dt * (injection_[l] / w0 + source_[l]);
     }
   }
 
@@ -180,36 +174,67 @@ void BatchedDiffusionField::step(double dt) {
     const std::size_t row = i * W;
     const std::size_t face_lo = (i - 1) * W;
     const std::size_t face_hi = i * W;
-#pragma GCC ivdep
     for (std::size_t l = 0; l < W; ++l) {
       const double al = dt * d_face_[face_lo + l] / hlw;
       const double au = dt * d_face_[face_hi + l] / huw;
       lower_[row + l] = -al;
       upper_[row + l] = -au;
       diag_[row + l] = 1.0 + al + au;
-      rhs_[row + l] = c_[row + l] + dt * source_[row + l];
     }
   }
 
-  // Far boundary, per lane (the one lane-divergent branch; it touches a
-  // single matrix row, so it costs nothing on the vectorized sweep).
+  // Far boundary, per lane.
   {
     const std::size_t row = (n - 1) * W;
-    const double w = grid_.cv(n - 1);
-    const double hlw = grid_.h(n - 2) * w;
+    const double hlw = grid_.h(n - 2) * grid_.cv(n - 1);
     for (std::size_t l = 0; l < W; ++l) {
       if (far_[l] == FarBoundary::kBulkReservoir) {
         lower_[row + l] = 0.0;
         upper_[row + l] = 0.0;
         diag_[row + l] = 1.0;
-        rhs_[row + l] = c_bulk_[l];
       } else {  // sealed half cell
         const double al = dt * d_face_[(n - 2) * W + l] / hlw;
         lower_[row + l] = -al;
         upper_[row + l] = 0.0;
         diag_[row + l] = 1.0 + al;
-        rhs_[row + l] = c_[row + l] + dt * source_[row + l];
       }
+    }
+  }
+  bands_dt_ = dt;
+}
+
+void BatchedDiffusionField::step(double dt) {
+  util::require(dt > 0.0, "dt must be positive");
+  util::require(configured_ == lanes_, "unconfigured lane in batched step");
+  const std::size_t n = grid_.size();
+  const std::size_t W = lanes_;
+  if (dt != bands_dt_) assemble_bands(dt);
+
+  // Per-step terms: the electrode row's consumption and every right-hand
+  // side. The band, concentration, source and per-lane parameter arrays are
+  // separately owned vectors that never alias; `ivdep` tells the vectorizer
+  // so (it cannot prove it across this many pointers).
+  {
+    const double w0 = grid_.cv(0);
+#pragma GCC ivdep
+    for (std::size_t l = 0; l < W; ++l) {
+      diag_[l] = 1.0 + a01_[l] + dt * k_het_[l] / w0;
+      rhs_[l] = c_[l] + dt * (injection_[l] / w0 + source_[l]);
+    }
+  }
+  {
+    const std::size_t interior_end = (n - 1) * W;
+#pragma GCC ivdep
+    for (std::size_t k = W; k < interior_end; ++k) {
+      rhs_[k] = c_[k] + dt * source_[k];
+    }
+  }
+  {
+    const std::size_t row = (n - 1) * W;
+    for (std::size_t l = 0; l < W; ++l) {
+      rhs_[row + l] = far_[l] == FarBoundary::kBulkReservoir
+                          ? c_bulk_[l]
+                          : c_[row + l] + dt * source_[row + l];
     }
   }
 

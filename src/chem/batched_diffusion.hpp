@@ -89,6 +89,8 @@ class BatchedDiffusionField {
  private:
   void check_lane(std::size_t lane) const;
   void rebuild_face_diffusivity(std::size_t lane);
+  /// Assemble every lane's step-invariant band coefficients for dt.
+  void assemble_bands(double dt);
 
   Grid1D grid_;
   std::size_t lanes_;
@@ -107,6 +109,11 @@ class BatchedDiffusionField {
   // persistent assembly + solve buffers; step() reuses them so steady-state
   // stepping performs zero heap allocations
   std::vector<double> lower_, diag_, upper_, rhs_, scratch_;
+  /// Bands assembled for this dt (0 = stale), as in DiffusionField: every
+  /// band entry except the electrode row's k_het term depends only on
+  /// (dt, per-lane diffusivity and scale, per-lane far boundary).
+  double bands_dt_ = 0.0;
+  std::vector<double> a01_;  ///< per-lane electrode-row coupling
 };
 
 }  // namespace idp::chem

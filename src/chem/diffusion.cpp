@@ -47,6 +47,7 @@ void DiffusionField::rebuild_face_diffusivity() {
     const double harmonic = 2.0 * d_[i] * d_[i + 1] / (d_[i] + d_[i + 1]);
     d_face_[i] = d_scale_ == 1.0 ? harmonic : d_scale_ * harmonic;
   }
+  bands_dt_ = 0.0;
 }
 
 void DiffusionField::set_diffusivity_scale(double scale) {
@@ -82,18 +83,16 @@ void DiffusionField::fill(double c) {
   std::fill(c_.begin(), c_.end(), c);
 }
 
-double DiffusionField::step(double dt) {
-  util::require(dt > 0.0, "dt must be positive");
+void DiffusionField::assemble_bands(double dt) {
   const std::size_t n = grid_.size();
 
-  // Node 0 (electrode): half cell with Robin consumption + injection.
+  // Node 0 (electrode): half cell with Robin consumption + injection; the
+  // k_het part of its diagonal is added per step.
   {
     const double w0 = grid_.cv(0);
-    const double a01 = dt * d_face_[0] / (grid_.h(0) * w0);
-    upper_[0] = -a01;
-    diag_[0] = 1.0 + a01 + dt * k_het_ / w0;
+    a01_ = dt * d_face_[0] / (grid_.h(0) * w0);
+    upper_[0] = -a01_;
     lower_[0] = 0.0;
-    rhs_[0] = c_[0] + dt * (injection_ / w0 + source_[0]);
   }
 
   // Interior nodes.
@@ -104,7 +103,6 @@ double DiffusionField::step(double dt) {
     lower_[i] = -al;
     upper_[i] = -au;
     diag_[i] = 1.0 + al + au;
-    rhs_[i] = c_[i] + dt * source_[i];
   }
 
   // Far boundary.
@@ -112,15 +110,32 @@ double DiffusionField::step(double dt) {
     lower_[n - 1] = 0.0;
     upper_[n - 1] = 0.0;
     diag_[n - 1] = 1.0;
-    rhs_[n - 1] = c_bulk_;
   } else {  // sealed half cell
     const double w = grid_.cv(n - 1);
     const double al = dt * d_face_[n - 2] / (grid_.h(n - 2) * w);
     lower_[n - 1] = -al;
     upper_[n - 1] = 0.0;
     diag_[n - 1] = 1.0 + al;
-    rhs_[n - 1] = c_[n - 1] + dt * source_[n - 1];
   }
+  bands_dt_ = dt;
+}
+
+double DiffusionField::step(double dt) {
+  util::require(dt > 0.0, "dt must be positive");
+  const std::size_t n = grid_.size();
+  if (dt != bands_dt_) assemble_bands(dt);
+
+  // Per-step terms: the electrode row's consumption and every right-hand
+  // side.
+  const double w0 = grid_.cv(0);
+  diag_[0] = 1.0 + a01_ + dt * k_het_ / w0;
+  rhs_[0] = c_[0] + dt * (injection_ / w0 + source_[0]);
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    rhs_[i] = c_[i] + dt * source_[i];
+  }
+  rhs_[n - 1] = far_ == FarBoundary::kBulkReservoir
+                    ? c_bulk_
+                    : c_[n - 1] + dt * source_[n - 1];
 
   solve_tridiagonal_inplace(lower_, diag_, upper_, rhs_, scratch_, c_);
   // Implicit diffusion keeps concentrations non-negative for non-negative

@@ -40,7 +40,10 @@ class DiffusionField {
   DiffusionField(Grid1D grid, double diffusivity, double c_init);
 
   // --- boundary & source configuration (persist across steps) -------------
-  void set_far_boundary(FarBoundary fb) { far_ = fb; }
+  void set_far_boundary(FarBoundary fb) {
+    if (fb != far_) bands_dt_ = 0.0;
+    far_ = fb;
+  }
   /// Bulk reservoir concentration (Dirichlet value). Also the value new
   /// solution entering the domain carries.
   void set_bulk_concentration(double c);
@@ -83,6 +86,8 @@ class DiffusionField {
   void init(double c_init);
   /// Recompute d_face_ from the base diffusivities and the current scale.
   void rebuild_face_diffusivity();
+  /// Assemble the step-invariant band coefficients for time step dt.
+  void assemble_bands(double dt);
 
   Grid1D grid_;
   std::vector<double> d_;        ///< per-node *base* diffusivity
@@ -101,6 +106,11 @@ class DiffusionField {
   // persistent buffers for the tridiagonal assembly and solve; step() reuses
   // them so steady-state stepping performs zero heap allocations
   std::vector<double> lower_, diag_, upper_, rhs_, scratch_;
+  /// The bands depend on (dt, diffusivity scale, far boundary) only, except
+  /// for the electrode row's k_het term; they are assembled once for
+  /// bands_dt_ and kept until one of those changes (0 = stale).
+  double bands_dt_ = 0.0;
+  double a01_ = 0.0;  ///< electrode-row coupling dt*D_face/(h*w) at bands_dt_
 };
 
 /// Build a per-node diffusivity vector for a membrane+bulk grid: nodes inside

@@ -1,13 +1,12 @@
 /// \file scheduler.cpp
-/// Scheduler implementation: deterministic replay fan-out and the live
-/// worker loop with latency telemetry.
+/// Scheduler implementation: deterministic replay (through the service's
+/// replay pipeline) and the live worker loop with latency telemetry.
 
 #include "serve/scheduler.hpp"
 
 #include <chrono>
 #include <utility>
 
-#include "sim/batch.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -33,27 +32,8 @@ Scheduler::~Scheduler() { drain_and_stop(); }
 
 std::vector<Response> Scheduler::replay(std::span<const Request> log,
                                         std::size_t parallelism) {
-  // Every request's run-id lease is fixed by its id before anything
-  // executes, and each response writes to its pre-assigned slot -- the
-  // BatchRunner contract, extended to the service layer.
-  std::vector<Response> responses(log.size());
-  const sim::BatchRunner runner(parallelism);
-  if (stream_ == nullptr) {
-    runner.run(log.size(),
-               [&](std::size_t i) { responses[i] = service_.execute(log[i]); });
-    return responses;
-  }
-  // Streaming replay: each request's telemetry records into a private
-  // capture while it executes, and captures publish in log order through
-  // the sequencer -- the published per-topic frame sequence is a pure
-  // function of (log, configuration), independent of parallelism.
-  obs::StreamSequencer sequencer(*stream_out_, log.size());
-  runner.run(log.size(), [&](std::size_t i) {
-    obs::TelemetryCapture capture;
-    responses[i] = service_.execute(log[i], &capture);
-    sequencer.deposit(i, std::move(capture));
-  });
-  return responses;
+  const std::vector<DiagnosticsService*> services(log.size(), &service_);
+  return replay_pipeline(log, services, parallelism, stream_out_.get());
 }
 
 void Scheduler::set_stream(obs::TelemetryBus* stream, std::int32_t shard) {

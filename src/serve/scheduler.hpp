@@ -4,11 +4,12 @@
 /// execution modes share one guarantee -- the response payload of request
 /// r depends only on r, because the run-id lease is r's alone:
 ///
-/// - replay(log, parallelism): execute a recorded request log with every
-///   response written to its pre-assigned slot, fanned out over
-///   sim::BatchRunner. Bitwise identical at parallelism 1 / N / hardware,
+/// - replay(log, parallelism): execute a recorded request log through the
+///   replay pipeline (serve::replay_pipeline: plan every request, measure
+///   all reads in lockstep lanes, finish), every response written to its
+///   pre-assigned slot. Bitwise identical at parallelism 1 / N / hardware,
 ///   and bitwise identical to what live mode produced for the same log
-///   (the serve workload of tests/determinism pins this).
+///   (the serve and cyp workloads of tests/determinism pin this).
 /// - start()/submit()/drain_and_stop(): live mode. Worker threads pop the
 ///   bounded priority RequestQueue, execute, and feed responses plus
 ///   wall-clock telemetry (queue wait, service time) to a ResultSink and

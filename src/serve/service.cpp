@@ -1,14 +1,16 @@
 /// \file service.cpp
 /// DiagnosticsService implementation: run-id leasing, epoch resolution,
-/// warm recalibration campaigns and the per-request measurement path.
+/// warm recalibration campaigns, the plan / measure / finish stages of a
+/// request and the replay pipeline that batches them across a log.
 
 #include "serve/service.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
-#include <variant>
 
+#include "sim/batch.hpp"
 #include "util/error.hpp"
 
 namespace idp::serve {
@@ -81,106 +83,127 @@ std::uint32_t DiagnosticsService::epoch_for(double sensor_age_days) const {
       std::min(epochs, static_cast<double>(kServeEpochSlots - 1)));
 }
 
+const quant::Quantifier& DiagnosticsService::epoch_quantifier(
+    Session& session, std::uint32_t channel, std::uint32_t epoch) {
+  if (epoch == 0) return *factory_[channel];
+  return session
+      .epoch_calibration(
+          channel, epoch,
+          [&]() -> quant::Calibration {
+            // Field recalibration at the epoch boundary: rerun the
+            // campaign on this session's sensor in the state it had at
+            // age epoch * cadence, from the run-id block owned by
+            // (session slot, channel, epoch) in the 2^43 domain.
+            const fault::SensorState sensor = config_.degradation.state_at(
+                static_cast<double>(epoch) *
+                    config_.recalibration_interval_days,
+                fault::SensorSite{session.site_id(), channel});
+            return store_.recalibrate(config_.panel[channel],
+                                      protocols_[channel], sensor,
+                                      recalibration_block(session, channel,
+                                                          epoch));
+          })
+      .quantifier;
+}
+
+std::uint64_t DiagnosticsService::recalibration_block(
+    const Session& session, std::uint32_t channel, std::uint32_t epoch) const {
+  return kServeRecalDomain +
+         (((session.site_id() % kServeSessionSlots) * kMaxServeChannels +
+           channel) *
+              kServeEpochSlots +
+          epoch) *
+             quant::CalibrationStore::kRunsPerCampaignBlock;
+}
+
 const quant::Quantifier& DiagnosticsService::quantifier_for(
     Session& session, std::uint32_t channel, std::uint32_t epoch,
     obs::TelemetryCapture* capture) {
-  if (epoch == 0) return *factory_[channel];
-  const double boundary_age =
-      static_cast<double>(epoch) * config_.recalibration_interval_days;
-  // The campaign block is a pure function of (session, channel, epoch) --
-  // computed here (not in the builder) so the kRecalibration span can emit
-  // for every request on the epoch, not just the cache-building winner.
-  const std::uint64_t block =
-      kServeRecalDomain +
-      (((session.site_id() % kServeSessionSlots) * kMaxServeChannels +
-        channel) *
-           kServeEpochSlots +
-       epoch) *
-          quant::CalibrationStore::kRunsPerCampaignBlock;
   const quant::Quantifier& quantifier =
-      session
-          .epoch_calibration(
-              channel, epoch,
-              [&]() -> quant::Calibration {
-                // Field recalibration at the epoch boundary: rerun the
-                // campaign on this session's sensor in the state it had at
-                // age epoch * cadence, from the run-id block owned by
-                // (session slot, channel, epoch) in the 2^43 domain.
-                const fault::SensorState sensor = config_.degradation.state_at(
-                    boundary_age,
-                    fault::SensorSite{session.site_id(), channel});
-                return store_.recalibrate(config_.panel[channel],
-                                          protocols_[channel], sensor, block);
-              })
-          .quantifier;
+      epoch_quantifier(session, channel, epoch);
+  if (epoch == 0) return quantifier;
   // Campaign-active + epoch-swap spans, emitted by EVERY request that uses
   // the epoch: each field is a pure function of (session, channel, epoch),
   // so re-emissions are exact duplicates that collapse in sorted() -- and
   // under streaming, each request's capture carries them regardless of
   // which request's builder won the warm-cache race (no metrics counter
   // for builds for the same reason: a *count* would depend on the race).
+  const double boundary_h = static_cast<double>(epoch) *
+                            config_.recalibration_interval_days * 24.0;
+  const auto block =
+      static_cast<double>(recalibration_block(session, channel, epoch));
   if (capture != nullptr) {
     capture->span(session.site_id(), obs::SpanKind::kRecalibration, channel,
-                  epoch, 0, boundary_age * 24.0, static_cast<double>(block));
+                  epoch, 0, boundary_h, block);
     capture->span(session.site_id(), obs::SpanKind::kEpochSwap, channel,
-                  epoch, 0, boundary_age * 24.0, static_cast<double>(epoch));
+                  epoch, 0, boundary_h, static_cast<double>(epoch));
   } else if (trace_ != nullptr) {
     trace_->record(session.site_id(), obs::SpanKind::kRecalibration, channel,
-                   epoch, 0, boundary_age * 24.0, static_cast<double>(block));
+                   epoch, 0, boundary_h, block);
     trace_->record(session.site_id(), obs::SpanKind::kEpochSwap, channel,
-                   epoch, 0, boundary_age * 24.0,
-                   static_cast<double>(epoch));
+                   epoch, 0, boundary_h, static_cast<double>(epoch));
   }
   return quantifier;
 }
 
-double DiagnosticsService::measure(Session& session, std::uint32_t channel,
-                                   double age_days, double concentration_mM,
-                                   std::uint64_t run_id) const {
-  const bio::TargetId target_id = config_.panel[channel];
-  const fault::SensorState sensor = config_.degradation.state_at(
-      age_days, fault::SensorSite{session.site_id(), channel});
+void DiagnosticsService::measure(std::span<RequestPlan* const> plans,
+                                 std::size_t parallelism) const {
+  std::size_t n_reads = 0;
+  for (const RequestPlan* plan : plans) n_reads += plan->reads.size();
 
   // Every measurement owns a fresh probe and front end seeded from its
   // leased run id, which buys order-independence (persistent probes/front
   // ends would carry noise and chemistry state from whichever request ran
   // before). The probe is a clone of the factory's calibrated prototype
-  // for this design (one calibration per process), so a request pays a
-  // copy of its diffusion fields, not a calibration search.
-  bio::ProbePtr probe = quant::make_campaign_probe(store_.config(), target_id);
-  probe->set_bulk_concentration(bio::to_string(target_id), concentration_mM);
-  afe::AnalogFrontEnd frontend(quant::campaign_frontend_config(
-      store_.config(), config_.engine_seed + kServeFrontendSeedDomain +
-                           run_id * kServeSeedStride));
-  const sim::Channel sim_channel{probe.get(), nullptr, sensor};
-
-  const sim::ChannelProtocol& protocol = protocols_[channel];
-  if (std::holds_alternative<sim::ChronoamperometryProtocol>(protocol)) {
-    const auto& p = std::get<sim::ChronoamperometryProtocol>(protocol);
-    const sim::Trace trace =
-        engine_.run_chronoamperometry_seeded(run_id, sim_channel, p, frontend);
-    return quant::panel_response(target_id, trace, sim::CvCurve{});
+  // for this design (one calibration per process), so a read pays a copy
+  // of its diffusion fields, not a calibration search.
+  std::vector<bio::ProbePtr> probes;
+  std::vector<std::unique_ptr<afe::AnalogFrontEnd>> frontends;
+  std::vector<sim::Measurement> measurements;
+  std::vector<PlannedRead*> reads;
+  probes.reserve(n_reads);
+  frontends.reserve(n_reads);
+  measurements.reserve(n_reads);
+  reads.reserve(n_reads);
+  for (RequestPlan* plan : plans) {
+    for (PlannedRead& read : plan->reads) {
+      const bio::TargetId target_id = config_.panel[read.channel];
+      probes.push_back(
+          quant::make_campaign_probe(store_.config(), target_id));
+      probes.back()->set_bulk_concentration(bio::to_string(target_id),
+                                            read.concentration_mM);
+      frontends.push_back(std::make_unique<afe::AnalogFrontEnd>(
+          quant::campaign_frontend_config(
+              store_.config(), config_.engine_seed + kServeFrontendSeedDomain +
+                                   read.run_id * kServeSeedStride)));
+      const fault::SensorState sensor = config_.degradation.state_at(
+          plan->age_days,
+          fault::SensorSite{plan->session->site_id(), read.channel});
+      measurements.push_back(sim::Measurement{
+          read.run_id, sim::Channel{probes.back().get(), nullptr, sensor},
+          protocols_[read.channel], frontends.back().get()});
+      reads.push_back(&read);
+    }
   }
-  const auto& p = std::get<sim::CyclicVoltammetryProtocol>(protocol);
-  const sim::CvCurve curve =
-      engine_.run_cyclic_voltammetry_seeded(run_id, sim_channel, p, frontend);
-  return quant::panel_response(target_id, sim::Trace{}, curve);
+  engine_.run_measurements(
+      measurements, parallelism,
+      [&](std::size_t i, sim::MeasurementResult&& result) {
+        reads[i]->response = quant::panel_response(
+            config_.panel[reads[i]->channel], result.amperogram,
+            result.voltammogram);
+      });
 }
 
-ChannelResult DiagnosticsService::run_channel(Session& session,
-                                              std::uint32_t channel,
-                                              std::uint32_t epoch,
-                                              double age_days,
-                                              double concentration_mM,
-                                              std::uint64_t run_id,
-                                              obs::TelemetryCapture* capture) {
+ChannelResult DiagnosticsService::channel_result(
+    const RequestPlan& plan, const PlannedRead& read,
+    obs::TelemetryCapture* capture) {
   ChannelResult result;
-  result.channel = channel;
-  result.target = config_.panel[channel];
-  result.truth_mM = concentration_mM;
-  result.response =
-      measure(session, channel, age_days, concentration_mM, run_id);
-  result.estimate = quantifier_for(session, channel, epoch, capture)
+  result.channel = read.channel;
+  result.target = config_.panel[read.channel];
+  result.truth_mM = read.concentration_mM;
+  result.response = read.response;
+  result.estimate = quantifier_for(*plan.session, read.channel, plan.epoch,
+                                   capture)
                         .quantify(result.response);
   return result;
 }
@@ -226,12 +249,8 @@ void DiagnosticsService::note_estimate(const Request& request,
   }
 }
 
-Response DiagnosticsService::execute(const Request& request,
-                                     obs::TelemetryCapture* capture) {
+RequestPlan DiagnosticsService::plan(const Request& request) {
   const std::size_t n_channels = config_.panel.size();
-  if (capture != nullptr) {
-    capture->tenant = static_cast<std::int32_t>(request.session.tenant);
-  }
   switch (request.kind) {
     case RequestKind::kPanelScan:
       util::require(request.concentrations_mM.size() == n_channels,
@@ -249,26 +268,60 @@ Response DiagnosticsService::execute(const Request& request,
       break;
   }
 
-  Session& session = registry_.get_or_create(request.session);
-  session.note_request();
-
-  const double age_days =
+  RequestPlan plan;
+  plan.request = &request;
+  plan.session = &registry_.get_or_create(request.session);
+  plan.session->note_request();
+  plan.age_days =
       std::max(0.0, (request.time_h - config_.sensor_install_h) / 24.0);
-  const std::uint32_t epoch = epoch_for(age_days);
-  const std::uint64_t lease = lease_base(request.id);
+  plan.epoch = epoch_for(plan.age_days);
+  plan.lease = lease_base(request.id);
 
+  switch (request.kind) {
+    case RequestKind::kPanelScan:
+      plan.reads.reserve(n_channels);
+      for (std::uint32_t c = 0; c < n_channels; ++c) {
+        plan.reads.push_back({c, request.concentrations_mM[c], plan.lease + c});
+      }
+      break;
+    case RequestKind::kQuantifiedRead:
+      plan.reads.push_back(
+          {request.channel, request.concentrations_mM[0], plan.lease});
+      break;
+    case RequestKind::kQcCheck: {
+      // A blank and the channel's known standard through the aged sensor;
+      // the standard sits at qc_fraction of the active calibration window.
+      const quant::Quantifier& quantifier =
+          epoch_quantifier(*plan.session, request.channel, plan.epoch);
+      const double qc_mM =
+          quantifier.c_low() +
+          config_.qc_fraction * (quantifier.c_high() - quantifier.c_low());
+      plan.reads.push_back({request.channel, 0.0, plan.lease});
+      plan.reads.push_back({request.channel, qc_mM, plan.lease + 1});
+      break;
+    }
+  }
+  return plan;
+}
+
+Response DiagnosticsService::finish(const RequestPlan& plan,
+                                    obs::TelemetryCapture* capture) {
+  const Request& request = *plan.request;
+  if (capture != nullptr) {
+    capture->tenant = static_cast<std::int32_t>(request.session.tenant);
+  }
   {
     obs::MetricLabels labels;
     labels.tenant = static_cast<std::int32_t>(request.session.tenant);
     labels.priority = static_cast<std::int32_t>(request.priority);
     if (capture != nullptr) {
-      capture->span(request.id, obs::SpanKind::kLeaseGrant, lease, 0, 0,
-                    request.time_h, static_cast<double>(epoch));
+      capture->span(request.id, obs::SpanKind::kLeaseGrant, plan.lease, 0, 0,
+                    request.time_h, static_cast<double>(plan.epoch));
       capture->count("serve.service.requests", labels);
     } else {
       if (trace_ != nullptr) {
-        trace_->record(request.id, obs::SpanKind::kLeaseGrant, lease, 0, 0,
-                       request.time_h, static_cast<double>(epoch));
+        trace_->record(request.id, obs::SpanKind::kLeaseGrant, plan.lease, 0,
+                       0, request.time_h, static_cast<double>(plan.epoch));
       }
       if (metrics_ != nullptr) {
         metrics_->counter("serve.service.requests", labels).add(1);
@@ -282,64 +335,108 @@ Response DiagnosticsService::execute(const Request& request,
   response.priority = request.priority;
   response.kind = request.kind;
   response.time_h = request.time_h;
-  response.sensor_age_days = age_days;
-  response.calibration_epoch = epoch;
+  response.sensor_age_days = plan.age_days;
+  response.calibration_epoch = plan.epoch;
 
   switch (request.kind) {
-    case RequestKind::kPanelScan: {
-      response.channels.reserve(n_channels);
-      for (std::uint32_t c = 0; c < n_channels; ++c) {
-        response.channels.push_back(run_channel(
-            session, c, epoch, age_days, request.concentrations_mM[c],
-            lease + c, capture));
-        note_run(request, c, c, lease + c, capture);
-        note_estimate(request, c, response.channels.back().estimate.value,
-                      capture);
+    case RequestKind::kPanelScan:
+    case RequestKind::kQuantifiedRead: {
+      response.channels.reserve(plan.reads.size());
+      for (std::size_t k = 0; k < plan.reads.size(); ++k) {
+        const PlannedRead& read = plan.reads[k];
+        response.channels.push_back(channel_result(plan, read, capture));
+        note_run(request, read.channel, k, read.run_id, capture);
+        note_estimate(request, read.channel,
+                      response.channels.back().estimate.value, capture);
       }
       break;
     }
-    case RequestKind::kQuantifiedRead: {
-      response.channels.push_back(run_channel(session, request.channel, epoch,
-                                              age_days,
-                                              request.concentrations_mM[0],
-                                              lease, capture));
-      note_run(request, request.channel, 0, lease, capture);
-      note_estimate(request, request.channel,
-                    response.channels.back().estimate.value, capture);
-      break;
-    }
     case RequestKind::kQcCheck: {
-      // A blank and the channel's known standard through the aged sensor,
-      // standardised against the active calibration's prediction -- the
-      // service-layer counterpart of the scenario QC loop.
+      // The blank and the standard standardised against the active
+      // calibration's prediction -- the service-layer counterpart of the
+      // scenario QC loop.
+      const PlannedRead& blank = plan.reads[0];
+      const PlannedRead& standard_read = plan.reads[1];
       const quant::Quantifier& quantifier =
-          quantifier_for(session, request.channel, epoch, capture);
-      const double qc_mM =
-          quantifier.c_low() +
-          config_.qc_fraction * (quantifier.c_high() - quantifier.c_low());
+          quantifier_for(*plan.session, request.channel, plan.epoch, capture);
       const double sigma = std::max(quantifier.response_sigma(), 1e-15);
-
-      const double r_blank =
-          measure(session, request.channel, age_days, 0.0, lease);
       response.qc_blank_residual =
-          (r_blank - quantifier.blank_mean()) / sigma;
+          (blank.response - quantifier.blank_mean()) / sigma;
 
-      ChannelResult standard = run_channel(session, request.channel, epoch,
-                                           age_days, qc_mM, lease + 1,
-                                           capture);
+      ChannelResult standard = channel_result(plan, standard_read, capture);
       response.qc_standard_residual =
           (standard.response -
-           util::evaluate(quantifier.fit(), qc_mM)) /
+           util::evaluate(quantifier.fit(), standard_read.concentration_mM)) /
           sigma;
       const double standard_estimate = standard.estimate.value;
       response.channels.push_back(std::move(standard));
-      note_run(request, request.channel, 0, lease, capture);      // blank
-      note_run(request, request.channel, 1, lease + 1, capture);  // standard
+      note_run(request, request.channel, 0, blank.run_id, capture);
+      note_run(request, request.channel, 1, standard_read.run_id, capture);
       note_estimate(request, request.channel, standard_estimate, capture);
       break;
     }
   }
   return response;
+}
+
+Response DiagnosticsService::execute(const Request& request,
+                                     obs::TelemetryCapture* capture) {
+  RequestPlan one = plan(request);
+  RequestPlan* const plans[] = {&one};
+  measure(plans, 1);
+  return finish(one, capture);
+}
+
+std::vector<Response> replay_pipeline(
+    std::span<const Request> log,
+    std::span<DiagnosticsService* const> services, std::size_t parallelism,
+    obs::TelemetryStream* stream,
+    const std::function<void(std::size_t, obs::TelemetryCapture&)>& prelude) {
+  util::require(services.size() == log.size(), "one service per request");
+  // Every request's run-id lease is fixed by its id before anything
+  // executes, and every stage writes to pre-assigned slots -- the
+  // BatchRunner contract, extended to the service layer.
+  const sim::BatchRunner runner(parallelism);
+  std::vector<RequestPlan> plans(log.size());
+  runner.run(log.size(),
+             [&](std::size_t i) { plans[i] = services[i]->plan(log[i]); });
+
+  // One lane-batched engine run per distinct service, over its plans in
+  // log order.
+  std::vector<DiagnosticsService*> distinct;
+  for (DiagnosticsService* service : services) {
+    if (std::find(distinct.begin(), distinct.end(), service) ==
+        distinct.end()) {
+      distinct.push_back(service);
+    }
+  }
+  for (DiagnosticsService* service : distinct) {
+    std::vector<RequestPlan*> mine;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (services[i] == service) mine.push_back(&plans[i]);
+    }
+    service->measure(mine, parallelism);
+  }
+
+  std::vector<Response> responses(log.size());
+  if (stream == nullptr) {
+    runner.run(log.size(), [&](std::size_t i) {
+      responses[i] = services[i]->finish(plans[i], nullptr);
+    });
+    return responses;
+  }
+  // Streaming: each request's telemetry records into a private capture,
+  // and captures publish in log order through the sequencer -- the
+  // published per-topic frame sequence is a pure function of (log,
+  // configuration), independent of parallelism.
+  obs::StreamSequencer sequencer(*stream, log.size());
+  runner.run(log.size(), [&](std::size_t i) {
+    obs::TelemetryCapture capture;
+    if (prelude) prelude(i, capture);
+    responses[i] = services[i]->finish(plans[i], &capture);
+    sequencer.deposit(i, std::move(capture));
+  });
+  return responses;
 }
 
 }  // namespace idp::serve

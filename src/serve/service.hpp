@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -98,6 +99,27 @@ struct ServiceConfig {
   std::size_t run_ids_per_request = 64;
 };
 
+/// One channel read a request needs.
+struct PlannedRead {
+  std::uint32_t channel = 0;
+  double concentration_mM = 0.0;  ///< bulk concentration the probe sees
+  std::uint64_t run_id = 0;       ///< from the request's lease
+  double response = 0.0;          ///< raw scalar response, set by measure()
+};
+
+/// A request resolved to the measurements it needs, before any runs: the
+/// output of DiagnosticsService::plan, the input of measure and finish.
+struct RequestPlan {
+  const Request* request = nullptr;  ///< the planned request (not owned)
+  Session* session = nullptr;
+  double age_days = 0.0;
+  std::uint32_t epoch = 0;
+  std::uint64_t lease = 0;
+  /// Reads in measurement order: one per panel channel, the single read,
+  /// or a QC check's blank then standard.
+  std::vector<PlannedRead> reads;
+};
+
 /// The request -> response engine. Thread-safe: execute() may be called
 /// concurrently from any number of workers (the registry and the store
 /// handle their own locking; the engine is used through const seeded
@@ -126,7 +148,8 @@ class DiagnosticsService {
 
   /// Execute one request. Pure in the determinism sense (see file
   /// comment); mutates only the session registry's warm caches and
-  /// counters, which are order-insensitive.
+  /// counters, which are order-insensitive. The one-request case of the
+  /// replay pipeline: plan, measure, finish.
   Response execute(const Request& request) { return execute(request, nullptr); }
 
   /// Streaming-mode execute: with a capture, every span and metric update
@@ -140,6 +163,26 @@ class DiagnosticsService {
   /// cache-building winner, so which request carries them never depends
   /// on the thread schedule (they collapse as exact duplicates on fold).
   Response execute(const Request& request, obs::TelemetryCapture* capture);
+
+  // --- the three stages of execute(), for batched replay -------------------
+
+  /// Validate a request and resolve it to its reads: session, sensor age,
+  /// epoch, run-id lease and, for a QC check, the standard level of the
+  /// active (possibly freshly built) epoch calibration. Emits no telemetry.
+  /// `request` must outlive the plan.
+  RequestPlan plan(const Request& request);
+
+  /// Measure every read of `plans` in one engine run: compatible reads
+  /// across requests step in lockstep lanes (sim::MeasurementEngine::
+  /// run_measurements) over `parallelism` workers (0 = hardware). Each
+  /// response is bitwise identical to measuring the request alone.
+  void measure(std::span<RequestPlan* const> plans,
+               std::size_t parallelism) const;
+
+  /// Quantify a measured plan into its response, emitting every span and
+  /// metric of the request in execute()'s order (into `capture` when given,
+  /// else into the attached recorder/registry).
+  Response finish(const RequestPlan& plan, obs::TelemetryCapture* capture);
 
   SessionRegistry& sessions() { return registry_; }
   const SessionRegistry& sessions() const { return registry_; }
@@ -166,21 +209,28 @@ class DiagnosticsService {
 
  private:
   /// The active quantifier of (session, channel) at an epoch: the factory
-  /// curve for epoch 0, the session's warm recalibration otherwise.
+  /// curve for epoch 0, the session's warm recalibration otherwise (built
+  /// on first use). Emits no telemetry.
+  const quant::Quantifier& epoch_quantifier(Session& session,
+                                            std::uint32_t channel,
+                                            std::uint32_t epoch);
+
+  /// First run id of the recalibration campaign block owned by (session
+  /// slot, channel, epoch) in the 2^43 domain.
+  std::uint64_t recalibration_block(const Session& session,
+                                    std::uint32_t channel,
+                                    std::uint32_t epoch) const;
+
+  /// epoch_quantifier plus the kRecalibration / kEpochSwap spans a
+  /// field-recalibration epoch emits on every use.
   const quant::Quantifier& quantifier_for(Session& session,
                                           std::uint32_t channel,
                                           std::uint32_t epoch,
                                           obs::TelemetryCapture* capture);
 
-  /// One measured + quantified channel read.
-  ChannelResult run_channel(Session& session, std::uint32_t channel,
-                            std::uint32_t epoch, double age_days,
-                            double concentration_mM, std::uint64_t run_id,
-                            obs::TelemetryCapture* capture);
-
-  /// Raw scalar response of one measurement (no quantification).
-  double measure(Session& session, std::uint32_t channel, double age_days,
-                 double concentration_mM, std::uint64_t run_id) const;
+  /// One quantified channel read of a measured plan.
+  ChannelResult channel_result(const RequestPlan& plan, const PlannedRead& read,
+                               obs::TelemetryCapture* capture);
 
   /// Observability tap of one measured run: kExecution span plus the
   /// per-channel read counter. No-op when neither surface is attached.
@@ -203,5 +253,21 @@ class DiagnosticsService {
   obs::TraceRecorder* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
 };
+
+/// The replay pipeline of Scheduler::replay and both ShardCluster replays:
+/// plan log[i] on *services[i], measure each distinct service's plans in
+/// one lane-batched engine run, then finish every request; responses land
+/// in log order. Every stage fans out over `parallelism` workers (0 =
+/// hardware) and the responses are bitwise identical to sequential
+/// execute() calls. With a `stream`, each request's telemetry records into
+/// a private capture -- opened by `prelude(i, capture)` when given -- and
+/// the captures publish in log order, so the frame sequence is independent
+/// of parallelism too.
+std::vector<Response> replay_pipeline(
+    std::span<const Request> log,
+    std::span<DiagnosticsService* const> services, std::size_t parallelism,
+    obs::TelemetryStream* stream,
+    const std::function<void(std::size_t, obs::TelemetryCapture&)>& prelude =
+        {});
 
 }  // namespace idp::serve

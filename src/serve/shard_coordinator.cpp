@@ -6,11 +6,10 @@
 #include "serve/shard_coordinator.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <functional>
 #include <set>
 #include <utility>
 
-#include "sim/batch.hpp"
 #include "util/error.hpp"
 
 namespace idp::serve {
@@ -199,6 +198,27 @@ LeaseCensus ShardCluster::lease_census(
   return census_of(log, executed_by, primary);
 }
 
+std::vector<Response> ShardCluster::run_primary(
+    std::span<const Request> log, std::span<const std::size_t> shard_of,
+    std::size_t parallelism, bool route_spans) {
+  std::vector<DiagnosticsService*> service_of(log.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    service_of[i] = services_[shard_of[i]].get();
+  }
+  if (stream_ == nullptr) {
+    return replay_pipeline(log, service_of, parallelism, nullptr);
+  }
+  obs::TelemetryStream stream_out(*stream_, trace_, metrics_);
+  std::function<void(std::size_t, obs::TelemetryCapture&)> route;
+  if (route_spans) {
+    route = [&](std::size_t i, obs::TelemetryCapture& capture) {
+      capture.span(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0, 0,
+                   log[i].time_h);
+    };
+  }
+  return replay_pipeline(log, service_of, parallelism, &stream_out, route);
+}
+
 ShardedReplayResult ShardCluster::replay(std::span<const Request> log,
                                          std::size_t parallelism,
                                          ShardTransport* transport) {
@@ -221,30 +241,13 @@ ShardedReplayResult ShardCluster::replay(std::span<const Request> log,
     }
   }
 
-  // Execute everything through one BatchRunner (each request on its own
-  // shard's service) so parallelism semantics match Scheduler::replay and
-  // shards genuinely run concurrently. Streaming captures publish in log
-  // order during THIS phase -- before transport and merge -- so the frame
-  // sequence never depends on the transport's delivery schedule.
-  std::vector<Response> responses(log.size());
-  const sim::BatchRunner runner(parallelism);
-  std::optional<obs::TelemetryStream> stream_out;
-  std::optional<obs::StreamSequencer> sequencer;
-  if (streaming) {
-    stream_out.emplace(*stream_, trace_, metrics_);
-    sequencer.emplace(*stream_out, log.size());
-  }
-  runner.run(log.size(), [&](std::size_t i) {
-    if (streaming) {
-      obs::TelemetryCapture capture;
-      capture.span(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0, 0,
-                   log[i].time_h);
-      responses[i] = services_[shard_of[i]]->execute(log[i], &capture);
-      sequencer->deposit(i, std::move(capture));
-    } else {
-      responses[i] = services_[shard_of[i]]->execute(log[i]);
-    }
-  });
+  // Execute everything on its shard (the replay pipeline of
+  // Scheduler::replay, so parallelism semantics match it). Streaming
+  // captures publish in log order during THIS phase -- before transport
+  // and merge -- so the frame sequence never depends on the transport's
+  // delivery schedule.
+  std::vector<Response> responses =
+      run_primary(log, shard_of, parallelism, /*route_spans=*/true);
 
   // Stream shard result streams into the transport round-robin, so
   // cross-shard interleaving is real even before the transport reorders.
@@ -314,8 +317,9 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
     util::require(fresh, "request ids in a log must be unique");
   }
 
-  // Precompute the primary-route responses through one BatchRunner; this
-  // is the only place `parallelism` applies -- the fault simulation below
+  // Precompute the primary-route responses through the replay pipeline
+  // (plan, one lane-batched measure per shard, finish); this is the only
+  // place `parallelism` applies -- the fault simulation below
   // is a single-threaded virtual-clock loop, so its behaviour is a pure
   // function of (log, config, fault schedule) at any parallelism. A real
   // shard computes a response on first execution and caches it for
@@ -325,23 +329,8 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
   // kFailover / kMerge, and failover re-executions) depends on the fault
   // schedule and records into the batch recorder only -- the stream's
   // determinism contract is over (log, seed, config) alone.
-  std::vector<Response> primary_responses(log.size());
-  const sim::BatchRunner runner(parallelism);
-  std::optional<obs::TelemetryStream> stream_out;
-  std::optional<obs::StreamSequencer> sequencer;
-  if (stream_ != nullptr) {
-    stream_out.emplace(*stream_, trace_, metrics_);
-    sequencer.emplace(*stream_out, log.size());
-  }
-  runner.run(log.size(), [&](std::size_t i) {
-    if (stream_ != nullptr) {
-      obs::TelemetryCapture capture;
-      primary_responses[i] = services_[shard_of[i]]->execute(log[i], &capture);
-      sequencer->deposit(i, std::move(capture));
-    } else {
-      primary_responses[i] = services_[shard_of[i]]->execute(log[i]);
-    }
-  });
+  const std::vector<Response> primary_responses =
+      run_primary(log, shard_of, parallelism, /*route_spans=*/false);
 
   RetryTracker tracker(fault_config.retry);
   FailureDetector detector(fault_config.detector, shard_count());

@@ -223,8 +223,8 @@ struct FaultTolerantReplayResult {
 ///
 /// Three modes, mirroring Scheduler:
 /// - replay(log, parallelism, transport): deterministic merged replay --
-///   route, execute every request on its shard (fanned out over one
-///   sim::BatchRunner), stream the per-shard responses through the
+///   route, execute every request on its shard (the replay pipeline of
+///   Scheduler::replay), stream the per-shard responses through the
 ///   transport (round-robin across shards so streams genuinely
 ///   interleave), merge. Default transport is the lossless
 ///   DirectTransport; requires at-least-once delivery (no loss).
@@ -351,6 +351,14 @@ class ShardCluster {
   void set_stream(obs::TelemetryBus* stream);
 
  private:
+  /// Primary-route execution shared by both replay paths: the replay
+  /// pipeline with request i on shard shard_of[i]. With a stream attached
+  /// each request's capture publishes in log order, opened by its
+  /// kShardRoute span when `route_spans`.
+  std::vector<Response> run_primary(std::span<const Request> log,
+                                    std::span<const std::size_t> shard_of,
+                                    std::size_t parallelism, bool route_spans);
+
   /// Shared census core: attribute each request's lease block to
   /// owner_of[i], with `primary` used to flag failover attributions.
   LeaseCensus census_of(std::span<const Request> log,

@@ -9,6 +9,8 @@
 #include <cmath>
 
 #include "afe/waveform.hpp"
+#include "bio/cyp_batch.hpp"
+#include "bio/cyp_probe.hpp"
 #include "bio/oxidase_batch.hpp"
 #include "bio/oxidase_probe.hpp"
 #include "sim/batch.hpp"
@@ -19,12 +21,15 @@ namespace idp::sim {
 
 namespace {
 constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ULL;
-/// Default lockstep lane width when EngineConfig::batch_lanes is 0 (auto):
-/// wide enough to fill AVX registers across the 2x solver lanes per
-/// channel, narrow enough that typical panels still split into parallel
-/// jobs.
-constexpr std::size_t kDefaultPanelLanes = 8;
-}
+/// Fewest measurements a lockstep job packs: narrower jobs save too little
+/// per read (BM_CypLanes) to pay for serialising their reads onto one
+/// worker, and the floor keeps a single request (at most two compatible
+/// reads) on the scalar path.
+constexpr std::size_t kMinLaneFill = 4;
+/// Widest lockstep job under the automatic rule (EngineConfig::batch_lanes
+/// = 0): two AVX registers of doubles per solver row.
+constexpr std::size_t kMaxAutoLanes = 8;
+}  // namespace
 
 /// Per-run noise generators: independent white noise for the signal and
 /// blank paths plus one *shared* drift process (same chamber, same solution)
@@ -219,53 +224,111 @@ CvCurve MeasurementEngine::run_cyclic_voltammetry_seeded(
   return curve;
 }
 
-PanelEntryResult MeasurementEngine::run_panel_entry(
-    std::uint64_t run_id, Channel channel, const ChannelProtocol& protocol,
-    afe::AnalogFrontEnd& fe, const afe::AnalogMux& mux,
-    const PanelSlot& slot) const {
-  PanelEntryResult entry;
-  entry.probe_name = channel.probe->name();
-  entry.technique = channel.probe->technique();
-  entry.start_time = slot.t_start;
-  entry.stop_time = slot.t_stop;
-
-  // The charge-injection artifact decays from the switch instant; fold it
-  // into the digitised samples while shifting the channel-local timeline
-  // onto the global one -- in place, no copy of the trace.
-  const double settle = mux.spec().settle_time;
-  if (std::holds_alternative<ChronoamperometryProtocol>(protocol)) {
-    const auto& p = std::get<ChronoamperometryProtocol>(protocol);
-    Trace raw = run_chronoamperometry_seeded(run_id, channel, p, fe);
-    std::vector<double>& time = raw.time_mut();
-    std::vector<double>& value = raw.value_mut();
-    for (std::size_t i = 0; i < time.size(); ++i) {
-      const double local_t = time[i];
-      value[i] += mux.artifact_current(slot.t_start + local_t - settle,
-                                       slot.t_switch);
-      time[i] = slot.t_start + local_t;
+std::vector<std::size_t> lane_jobs_per_group(
+    std::span<const std::size_t> group_sizes, std::size_t scalar_jobs,
+    std::size_t workers, std::size_t max_width) {
+  const std::size_t fill = std::min(kMinLaneFill, max_width);
+  std::vector<std::size_t> jobs(group_sizes.size(), 0);
+  std::size_t total = scalar_jobs;
+  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
+    const std::size_t size = group_sizes[g];
+    if (max_width < 2 || size < fill) {
+      total += size;  // scalar: one job per measurement
+      continue;
     }
-    entry.amperogram = std::move(raw);
-  } else {
-    const auto& p = std::get<CyclicVoltammetryProtocol>(protocol);
-    CvCurve raw = run_cyclic_voltammetry_seeded(run_id, channel, p, fe);
-    std::vector<double>& time = raw.time_mut();
-    std::vector<double>& current = raw.current_mut();
-    for (std::size_t i = 0; i < time.size(); ++i) {
-      const double local_t = time[i];
-      current[i] += mux.artifact_current(slot.t_start + local_t - settle,
-                                         slot.t_switch);
-      time[i] = slot.t_start + local_t;
-    }
-    entry.voltammogram = std::move(raw);
+    jobs[g] = (size + max_width - 1) / max_width;
+    total += jobs[g];
   }
-  return entry;
+  // Narrow the widest jobs first while workers would sit idle, as long as
+  // every job keeps at least `fill` lanes.
+  while (total < workers) {
+    std::size_t best = group_sizes.size();
+    std::size_t best_width = 0;
+    for (std::size_t g = 0; g < group_sizes.size(); ++g) {
+      if (jobs[g] == 0 || group_sizes[g] / (jobs[g] + 1) < fill) continue;
+      const std::size_t width = (group_sizes[g] + jobs[g] - 1) / jobs[g];
+      if (width > best_width) {
+        best = g;
+        best_width = width;
+      }
+    }
+    if (best == group_sizes.size()) break;
+    ++jobs[best];
+    ++total;
+  }
+  return jobs;
 }
 
-void MeasurementEngine::run_panel_lane_group(
-    std::span<const std::size_t> group, std::uint64_t base_id,
-    std::span<const Channel> channels, std::span<const ChannelProtocol> protocols,
-    std::span<afe::AnalogFrontEnd* const> frontends, const afe::AnalogMux& mux,
-    std::span<const PanelSlot> slots, std::span<PanelEntryResult> entries) const {
+namespace {
+
+/// Which lockstep kernel a measurement can join.
+enum class LaneKind { kScalar, kOxidaseCa, kCypCv };
+
+LaneKind lane_kind(const Measurement& m) {
+  if (const auto* ca = std::get_if<ChronoamperometryProtocol>(&m.protocol)) {
+    // Invalid protocols stay scalar, where the seeded entry point rejects
+    // them with its own message.
+    if (ca->duration > 0.0 && ca->sample_rate > 0.0 &&
+        dynamic_cast<const bio::OxidaseProbe*>(m.channel.probe) != nullptr) {
+      return LaneKind::kOxidaseCa;
+    }
+    return LaneKind::kScalar;
+  }
+  const auto& cv = std::get<CyclicVoltammetryProtocol>(m.protocol);
+  if (cv.sample_rate > 0.0 &&
+      dynamic_cast<const bio::CypProbe*>(m.channel.probe) != nullptr) {
+    return LaneKind::kCypCv;
+  }
+  return LaneKind::kScalar;
+}
+
+/// True when two measurements of the same lane kind can step in lockstep:
+/// one step loop and sampling clock (CA: same duration and sample rate; CV:
+/// the identical sweep) over node-identical grids.
+bool lane_compatible(LaneKind kind, const Measurement& a, const Measurement& b) {
+  if (kind == LaneKind::kOxidaseCa) {
+    const auto& pa = std::get<ChronoamperometryProtocol>(a.protocol);
+    const auto& pb = std::get<ChronoamperometryProtocol>(b.protocol);
+    return pa.duration == pb.duration && pa.sample_rate == pb.sample_rate &&
+           bio::OxidaseLaneBatch::compatible(
+               static_cast<const bio::OxidaseProbe&>(*a.channel.probe),
+               static_cast<const bio::OxidaseProbe&>(*b.channel.probe));
+  }
+  const auto& pa = std::get<CyclicVoltammetryProtocol>(a.protocol);
+  const auto& pb = std::get<CyclicVoltammetryProtocol>(b.protocol);
+  return pa.e_start == pb.e_start && pa.e_vertex == pb.e_vertex &&
+         pa.scan_rate == pb.scan_rate && pa.cycles == pb.cycles &&
+         pa.sample_rate == pb.sample_rate &&
+         bio::CypLaneBatch::compatible(
+             static_cast<const bio::CypProbe&>(*a.channel.probe),
+             static_cast<const bio::CypProbe&>(*b.channel.probe));
+}
+
+/// One job of a lane-batched run: a lockstep chunk, or one scalar
+/// measurement.
+struct LaneJob {
+  LaneKind kind;
+  std::vector<std::size_t> members;
+};
+
+}  // namespace
+
+MeasurementResult MeasurementEngine::run_scalar(const Measurement& m) const {
+  MeasurementResult result;
+  if (const auto* ca = std::get_if<ChronoamperometryProtocol>(&m.protocol)) {
+    result.amperogram =
+        run_chronoamperometry_seeded(m.run_id, m.channel, *ca, *m.frontend);
+  } else {
+    result.voltammogram = run_cyclic_voltammetry_seeded(
+        m.run_id, m.channel, std::get<CyclicVoltammetryProtocol>(m.protocol),
+        *m.frontend);
+  }
+  return result;
+}
+
+void MeasurementEngine::run_ca_lanes(std::span<const Measurement> all,
+                                     std::span<const std::size_t> group,
+                                     const MeasurementSink& sink) const {
   const std::size_t w = group.size();
 
   // Per-lane preamble, mirroring run_chronoamperometry_seeded: sensor state
@@ -273,33 +336,26 @@ void MeasurementEngine::run_panel_lane_group(
   std::vector<bio::OxidaseProbe*> probes(w);
   std::vector<const fault::SensorState*> sensors(w);
   std::vector<double> potentials(w);
-  for (std::size_t l = 0; l < w; ++l) {
-    const Channel& channel = channels[group[l]];
-    const auto& protocol =
-        std::get<ChronoamperometryProtocol>(protocols[group[l]]);
-    util::require(protocol.duration > 0.0 && protocol.sample_rate > 0.0,
-                  "invalid protocol");
-    probes[l] = static_cast<bio::OxidaseProbe*>(channel.probe);
-    sensors[l] = &channel.sensor;
-    potentials[l] = protocol.potential;
-    channel.probe->apply_sensor_state(channel.sensor);
-    channel.probe->reset();
-    frontends[group[l]]->set_drift(channel.sensor.afe_gain,
-                                   channel.sensor.afe_offset_A);
-  }
-  bio::OxidaseLaneBatch batch(probes, sensors);
-
   std::vector<NoiseState> noise;
   noise.reserve(w);
   for (std::size_t l = 0; l < w; ++l) {
-    noise.emplace_back(config_, *probes[l], base_id + group[l] + 1,
-                       sensors[l]->storm_noise_mult);
+    const Measurement& m = all[group[l]];
+    probes[l] = static_cast<bio::OxidaseProbe*>(m.channel.probe);
+    sensors[l] = &m.channel.sensor;
+    potentials[l] = std::get<ChronoamperometryProtocol>(m.protocol).potential;
+    m.channel.probe->apply_sensor_state(m.channel.sensor);
+    m.channel.probe->reset();
+    m.frontend->set_drift(m.channel.sensor.afe_gain,
+                          m.channel.sensor.afe_offset_A);
+    noise.emplace_back(config_, *probes[l], m.run_id,
+                       m.channel.sensor.storm_noise_mult);
   }
+  bio::OxidaseLaneBatch batch(probes, sensors);
   afe::Potentiostat pstat(config_.potentiostat);
 
-  // All group members share duration and sample rate (grouping key), so one
+  // All lanes share duration and sample rate (compatibility), so one
   // sampling clock and one step count drive every lane.
-  const auto& p0 = std::get<ChronoamperometryProtocol>(protocols[group[0]]);
+  const auto& p0 = std::get<ChronoamperometryProtocol>(all[group[0]].protocol);
   std::vector<Trace> traces(w);
   for (Trace& trace : traces) {
     trace.reserve(
@@ -330,33 +386,183 @@ void MeasurementEngine::run_panel_lane_group(
                                noise[l].blank_white() + drift +
                                sensors[l]->storm_current_A;
         traces[l].push(clock.next(),
-                       frontends[group[l]]->sample(i_sig, i_blank));
+                       all[group[l]].frontend->sample(i_sig, i_blank));
       }
       clock.advance();
     }
   }
-
-  // Per-lane postprocessing, mirroring run_panel_entry's CA branch: fold the
-  // charge-injection artifact in while shifting onto the global timeline.
-  const double settle = mux.spec().settle_time;
   for (std::size_t l = 0; l < w; ++l) {
-    const std::size_t c = group[l];
-    PanelEntryResult& entry = entries[c];
-    entry.probe_name = channels[c].probe->name();
-    entry.technique = channels[c].probe->technique();
-    entry.start_time = slots[c].t_start;
-    entry.stop_time = slots[c].t_stop;
-    Trace& raw = traces[l];
-    std::vector<double>& time = raw.time_mut();
-    std::vector<double>& value = raw.value_mut();
-    for (std::size_t i = 0; i < time.size(); ++i) {
-      const double local_t = time[i];
-      value[i] += mux.artifact_current(slots[c].t_start + local_t - settle,
-                                       slots[c].t_switch);
-      time[i] = slots[c].t_start + local_t;
-    }
-    entry.amperogram = std::move(raw);
+    MeasurementResult result;
+    result.amperogram = std::move(traces[l]);
+    sink(group[l], std::move(result));
   }
+}
+
+void MeasurementEngine::run_cv_lanes(std::span<const Measurement> all,
+                                     std::span<const std::size_t> group,
+                                     const MeasurementSink& sink) const {
+  const std::size_t w = group.size();
+
+  // Per-lane preamble, mirroring run_cyclic_voltammetry_seeded.
+  std::vector<bio::CypProbe*> probes(w);
+  std::vector<const fault::SensorState*> sensors(w);
+  std::vector<NoiseState> noise;
+  noise.reserve(w);
+  for (std::size_t l = 0; l < w; ++l) {
+    const Measurement& m = all[group[l]];
+    probes[l] = static_cast<bio::CypProbe*>(m.channel.probe);
+    sensors[l] = &m.channel.sensor;
+    m.channel.probe->apply_sensor_state(m.channel.sensor);
+    m.channel.probe->reset();
+    m.frontend->set_drift(m.channel.sensor.afe_gain,
+                          m.channel.sensor.afe_offset_A);
+    noise.emplace_back(config_, *probes[l], m.run_id,
+                       m.channel.sensor.storm_noise_mult);
+  }
+  bio::CypLaneBatch batch(probes, sensors);
+  afe::Potentiostat pstat(config_.potentiostat);
+
+  // Every lane runs the identical sweep (compatibility): one waveform, one
+  // sampling clock, one step count.
+  const auto& protocol =
+      std::get<CyclicVoltammetryProtocol>(all[group[0]].protocol);
+  const afe::TriangleWaveform wf(protocol.e_start, protocol.e_vertex,
+                                 protocol.scan_rate, protocol.cycles);
+  std::vector<CvCurve> curves(w);
+  for (CvCurve& curve : curves) {
+    curve.reserve(static_cast<std::size_t>(
+                      std::ceil(wf.duration() * protocol.sample_rate)) +
+                  1);
+  }
+  SamplingClock clock(protocol.sample_rate);
+  const double dt = config_.chem_dt;
+  std::vector<double> i_prev(w, 0.0), e_applied(w), i_true(w);
+  const auto n_steps = static_cast<std::size_t>(std::ceil(wf.duration() / dt));
+  for (std::size_t k = 0; k < n_steps; ++k) {
+    const double t = static_cast<double>(k) * dt;
+    const double e_set = wf.value(t);
+    for (std::size_t l = 0; l < w; ++l) {
+      e_applied[l] =
+          pstat.applied_potential(e_set, i_prev[l], config_.cell_impedance) +
+          sensors[l]->reference_shift_V;
+    }
+    batch.step(e_applied, dt, i_true);
+    for (std::size_t l = 0; l < w; ++l) {
+      const chem::Electrode* electrode = all[group[l]].channel.electrode;
+      if (config_.charging_current && electrode != nullptr) {
+        i_true[l] += electrode->charging_current(
+            protocol.scan_rate * static_cast<double>(wf.direction(t)));
+      }
+      i_prev[l] = i_true[l];
+    }
+
+    if (clock.due(t + dt)) {
+      const double t_sample = clock.next();
+      const double e_sample = wf.value(t_sample);
+      for (std::size_t l = 0; l < w; ++l) {
+        const double drift = noise[l].step_drift(clock.period);
+        const double i_sig = i_true[l] + noise[l].signal_white() + drift +
+                             sensors[l]->storm_current_A;
+        const double i_blank = probes[l]->blank_current() +
+                               probes[l]->blank_signal_fraction() *
+                                   (i_true[l] - probes[l]->blank_current()) +
+                               noise[l].blank_white() + drift +
+                               sensors[l]->storm_current_A;
+        curves[l].push(t_sample, e_sample,
+                       all[group[l]].frontend->sample(i_sig, i_blank));
+      }
+      clock.advance();
+    }
+  }
+  for (std::size_t l = 0; l < w; ++l) {
+    MeasurementResult result;
+    result.voltammogram = std::move(curves[l]);
+    sink(group[l], std::move(result));
+  }
+}
+
+void MeasurementEngine::run_measurements(
+    std::span<const Measurement> measurements, std::size_t parallelism,
+    const MeasurementSink& sink) const {
+  for (const Measurement& m : measurements) {
+    util::require(m.channel.probe != nullptr, "channel has no probe");
+    util::require(m.frontend != nullptr, "measurement has no front end");
+  }
+
+  // Gather compatible measurements into lane groups, in first-appearance
+  // order. Grouping is a pure function of the inputs, and lane membership
+  // cannot leak into results (every measurement's randomness is seeded by
+  // its own run id), so every grouping yields bitwise-identical results.
+  const std::size_t max_width =
+      config_.batch_lanes == 0 ? kMaxAutoLanes : config_.batch_lanes;
+  std::vector<LaneJob> groups;
+  std::vector<std::size_t> scalar;
+  for (std::size_t i = 0; i < measurements.size(); ++i) {
+    const LaneKind kind =
+        max_width < 2 ? LaneKind::kScalar : lane_kind(measurements[i]);
+    if (kind == LaneKind::kScalar) {
+      scalar.push_back(i);
+      continue;
+    }
+    const auto group = std::find_if(
+        groups.begin(), groups.end(), [&](const LaneJob& g) {
+          return g.kind == kind &&
+                 lane_compatible(kind, measurements[g.members.front()],
+                                 measurements[i]);
+        });
+    if (group == groups.end()) {
+      groups.push_back({kind, {i}});
+    } else {
+      group->members.push_back(i);
+    }
+  }
+
+  // Split each group into near-equal lockstep chunks per the lane-width
+  // rule; lane jobs go first (they run longest), scalar ones after.
+  const BatchRunner runner(parallelism);
+  std::vector<std::size_t> sizes;
+  sizes.reserve(groups.size());
+  for (const LaneJob& g : groups) sizes.push_back(g.members.size());
+  const std::vector<std::size_t> chunks =
+      lane_jobs_per_group(sizes, scalar.size(), runner.parallelism(),
+                          max_width);
+  std::vector<LaneJob> jobs;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::vector<std::size_t>& members = groups[g].members;
+    if (chunks[g] == 0) {
+      scalar.insert(scalar.end(), members.begin(), members.end());
+      continue;
+    }
+    const std::size_t base = members.size() / chunks[g];
+    const std::size_t extra = members.size() % chunks[g];
+    auto begin = members.begin();
+    for (std::size_t c = 0; c < chunks[g]; ++c) {
+      const auto end = begin + static_cast<std::ptrdiff_t>(
+                                   base + (c < extra ? 1 : 0));
+      jobs.push_back({end - begin == 1 ? LaneKind::kScalar : groups[g].kind,
+                      std::vector<std::size_t>(begin, end)});
+      begin = end;
+    }
+  }
+  std::sort(scalar.begin(), scalar.end());
+  for (const std::size_t i : scalar) jobs.push_back({LaneKind::kScalar, {i}});
+
+  runner.run(jobs.size(), [&](std::size_t j) {
+    const LaneJob& job = jobs[j];
+    switch (job.kind) {
+      case LaneKind::kScalar: {
+        const std::size_t i = job.members.front();
+        sink(i, run_scalar(measurements[i]));
+        break;
+      }
+      case LaneKind::kOxidaseCa:
+        run_ca_lanes(measurements, job.members, sink);
+        break;
+      case LaneKind::kCypCv:
+        run_cv_lanes(measurements, job.members, sink);
+        break;
+    }
+  });
 }
 
 PanelScanResult MeasurementEngine::run_panel(
@@ -375,8 +581,14 @@ PanelScanResult MeasurementEngine::run_panel(
   // Schedule the scan up front: mux switch instants, channel start/stop
   // times and run ids are all fixed before any chemistry runs, so the
   // channel measurements are independent jobs.
+  struct PanelSlot {
+    double t_switch = 0.0;  ///< mux switch instant seen by the artifact model
+    double t_start = 0.0;   ///< first chemistry step (after settling)
+    double t_stop = 0.0;    ///< end of the channel's protocol
+  };
   const std::uint64_t base_id = reserve_run_ids(n);
   std::vector<PanelSlot> slots(n);
+  std::vector<Measurement> measurements(n);
   double t_global = 0.0;
   for (std::size_t c = 0; c < n; ++c) {
     mux.select(c, t_global);
@@ -392,73 +604,39 @@ PanelScanResult MeasurementEngine::run_panel(
       t_global += wf.duration();
     }
     slots[c].t_stop = t_global;
-  }
-
-  // Gather compatible chronoamperometric oxidase channels into lockstep
-  // lane groups for the batched SoA kernel. Compatibility = node-identical
-  // grids plus equal duration and sample rate (one shared step loop and
-  // sampling clock); everything else -- CV channels, direct probes, CYP
-  // panels -- keeps the scalar per-channel path. Grouping is a pure
-  // function of the inputs, and lane membership cannot leak into results
-  // (per-channel run ids seed all randomness), so every width yields
-  // bitwise-identical scans.
-  const std::size_t lane_width =
-      config_.batch_lanes == 0 ? kDefaultPanelLanes : config_.batch_lanes;
-  std::vector<std::vector<std::size_t>> jobs;
-  jobs.reserve(n);
-  if (lane_width > 1) {
-    std::vector<std::vector<std::size_t>> classes;
-    for (std::size_t c = 0; c < n; ++c) {
-      const auto* ox = dynamic_cast<const bio::OxidaseProbe*>(channels[c].probe);
-      if (ox == nullptr ||
-          !std::holds_alternative<ChronoamperometryProtocol>(protocols[c])) {
-        jobs.push_back({c});
-        continue;
-      }
-      const auto& p = std::get<ChronoamperometryProtocol>(protocols[c]);
-      bool placed = false;
-      for (std::vector<std::size_t>& cls : classes) {
-        const auto& rep_p =
-            std::get<ChronoamperometryProtocol>(protocols[cls.front()]);
-        const auto* rep_ox =
-            static_cast<const bio::OxidaseProbe*>(channels[cls.front()].probe);
-        if (rep_p.duration == p.duration &&
-            rep_p.sample_rate == p.sample_rate &&
-            bio::OxidaseLaneBatch::compatible(*rep_ox, *ox)) {
-          cls.push_back(c);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) classes.push_back({c});
-    }
-    // Chunk each compatibility class to the lane width; ragged tails simply
-    // form a narrower batch, and singleton chunks take the scalar path.
-    for (std::vector<std::size_t>& cls : classes) {
-      for (std::size_t begin = 0; begin < cls.size(); begin += lane_width) {
-        const std::size_t end = std::min(begin + lane_width, cls.size());
-        jobs.emplace_back(cls.begin() + static_cast<std::ptrdiff_t>(begin),
-                          cls.begin() + static_cast<std::ptrdiff_t>(end));
-      }
-    }
-  } else {
-    for (std::size_t c = 0; c < n; ++c) jobs.push_back({c});
+    measurements[c] = Measurement{base_id + c + 1, channels[c], protocols[c],
+                                  frontends[c]};
   }
 
   PanelScanResult result;
   result.entries.resize(n);
   result.total_time = t_global;
-  const BatchRunner runner(parallelism);
-  runner.run(jobs.size(), [&](std::size_t j) {
-    const std::vector<std::size_t>& group = jobs[j];
-    if (group.size() == 1) {
-      const std::size_t c = group.front();
-      result.entries[c] = run_panel_entry(base_id + c + 1, channels[c],
-                                          protocols[c], *frontends[c], mux,
-                                          slots[c]);
+  const double settle = mux.spec().settle_time;
+  run_measurements(measurements, parallelism,
+                   [&](std::size_t c, MeasurementResult&& raw) {
+    PanelEntryResult& entry = result.entries[c];
+    entry.probe_name = channels[c].probe->name();
+    entry.technique = channels[c].probe->technique();
+    entry.start_time = slots[c].t_start;
+    entry.stop_time = slots[c].t_stop;
+    // The charge-injection artifact decays from the switch instant; fold it
+    // into the digitised samples while shifting the channel-local timeline
+    // onto the global one -- in place, no copy of the record.
+    const auto fold = [&](std::vector<double>& time,
+                          std::vector<double>& value) {
+      for (std::size_t i = 0; i < time.size(); ++i) {
+        const double local_t = time[i];
+        value[i] += mux.artifact_current(slots[c].t_start + local_t - settle,
+                                         slots[c].t_switch);
+        time[i] = slots[c].t_start + local_t;
+      }
+    };
+    if (std::holds_alternative<ChronoamperometryProtocol>(protocols[c])) {
+      fold(raw.amperogram.time_mut(), raw.amperogram.value_mut());
+      entry.amperogram = std::move(raw.amperogram);
     } else {
-      run_panel_lane_group(group, base_id, channels, protocols, frontends,
-                           mux, slots, result.entries);
+      fold(raw.voltammogram.time_mut(), raw.voltammogram.current_mut());
+      entry.voltammogram = std::move(raw.voltammogram);
     }
   });
   return result;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -51,6 +52,41 @@ struct PanelScanResult {
   double total_time = 0.0;  ///< wall-clock of the whole scan incl. settling
 };
 
+/// One independent measurement of a lane-batched run: what the `_seeded`
+/// entry points take, as data.
+struct Measurement {
+  std::uint64_t run_id = 0;     ///< seeds the measurement's noise
+  Channel channel;
+  ChannelProtocol protocol;
+  afe::AnalogFrontEnd* frontend = nullptr;  ///< non-owning, required
+};
+
+/// What one measurement recorded: the amperogram of a chronoamperometry or
+/// the voltammogram of a sweep (the other stays empty).
+struct MeasurementResult {
+  Trace amperogram;
+  CvCurve voltammogram;
+};
+
+/// Receives measurement `index`'s result on the worker thread that ran it.
+using MeasurementSink =
+    std::function<void(std::size_t index, MeasurementResult&& result)>;
+
+/// The lane-width rule of every lane-batched run. Group i holds
+/// group_sizes[i] mutually compatible measurements; `scalar_jobs` other
+/// measurements run alone. Returns, per group, the number of lockstep jobs
+/// it splits into (near-equal consecutive chunks), or 0 when it runs
+/// scalar. Groups start at `max_width` lanes a job and split further only
+/// while there are fewer jobs than `workers`, never below min(4,
+/// max_width) lanes a job; a group that cannot fill that many lanes runs
+/// scalar, and so does everything when max_width < 2.
+/// Lockstep lanes cut the cost per measurement (one SoA solve for W
+/// systems) but serialise W measurements onto one worker: wide lanes win
+/// only while they still leave every worker a job.
+std::vector<std::size_t> lane_jobs_per_group(
+    std::span<const std::size_t> group_sizes, std::size_t scalar_jobs,
+    std::size_t workers, std::size_t max_width);
+
 /// Measurement engine configuration.
 struct EngineConfig {
   double chem_dt = 5.0e-3;     ///< physics step [s]
@@ -65,14 +101,16 @@ struct EngineConfig {
   /// Eq. 5 LODs near their Table III values.
   double drift_scale = 1.0;
   double drift_tau = 60.0;     ///< [s]
-  /// Lockstep lane width of the batched SoA panel kernel: compatible
-  /// chronoamperometric oxidase channels (node-identical grids, same
-  /// duration and sample rate) are gathered in groups of up to this many
-  /// channels and stepped through one structure-of-arrays tridiagonal
-  /// solve. 0 picks the default width (8); 1 disables cross-channel
-  /// batching (the scalar per-channel path). Results are bitwise identical
-  /// at every width -- the kernel-equivalence property test and the `simd`
-  /// determinism-sweep workload pin this.
+  /// Widest lockstep job of the batched SoA kernels: compatible
+  /// measurements -- chronoamperometry on oxidase probes with node-identical
+  /// grids and the same duration and sample rate, or cyclic voltammetry on
+  /// CYP probes with node-identical grids and an identical protocol -- are
+  /// gathered in jobs of up to this many measurements and stepped through
+  /// one structure-of-arrays tridiagonal solve (see lane_jobs_per_group).
+  /// 0 = automatic (up to 8); 1 disables cross-measurement batching (the
+  /// scalar path). Results are bitwise identical at every width -- the
+  /// kernel-equivalence property tests and the `simd` and `cyp`
+  /// determinism-sweep workloads pin this.
   std::size_t batch_lanes = 0;
   afe::PotentiostatSpec potentiostat;
   chem::CellImpedance cell_impedance;
@@ -116,6 +154,18 @@ class MeasurementEngine {
       const CyclicVoltammetryProtocol& protocol,
       afe::AnalogFrontEnd& fe) const;
 
+  /// Run independent measurements, in lockstep lanes where they are
+  /// compatible (see EngineConfig::batch_lanes and lane_jobs_per_group)
+  /// and scalar otherwise, over `parallelism` workers (0 = hardware). Each
+  /// result is bitwise identical to the `_seeded` entry point with the same
+  /// run id, whatever the lane width, lane order or parallelism; `sink`
+  /// receives it as soon as its job finishes. Probes and front ends must be
+  /// distinct across measurements. If measurements throw, the error of the
+  /// lowest-numbered failing job is rethrown after every job finished.
+  void run_measurements(std::span<const Measurement> measurements,
+                        std::size_t parallelism,
+                        const MeasurementSink& sink) const;
+
   /// Reserve `n` consecutive run ids; returns the pre-reservation counter
   /// value, so the reserved ids are base+1 .. base+n -- exactly what the
   /// counter-based overloads would have consumed sequentially.
@@ -126,9 +176,11 @@ class MeasurementEngine {
   /// (oxidase- and CYP-grade readouts coexist on one platform); mux settling
   /// time is inserted between channels and the charge-injection artifact
   /// corrupts the first samples after each switch. The scan timeline and all
-  /// run ids are scheduled up front, so with `parallelism` > 1 the channel
-  /// measurements execute concurrently with results bitwise identical to the
-  /// sequential scan (parallelism 0 means hardware concurrency).
+  /// run ids are scheduled up front, so the channel measurements are
+  /// independent: they go through run_measurements (lockstep lanes where
+  /// compatible, `parallelism` workers, 0 = hardware) and the scan is
+  /// bitwise identical to the sequential one at any parallelism and lane
+  /// width.
   PanelScanResult run_panel(std::span<const Channel> channels,
                             std::span<const ChannelProtocol> protocols,
                             std::span<afe::AnalogFrontEnd* const> frontends,
@@ -138,31 +190,17 @@ class MeasurementEngine {
 
  private:
   struct NoiseState;
-  /// Precomputed panel-scan timeline of one channel.
-  struct PanelSlot {
-    double t_switch = 0.0;  ///< mux switch instant seen by the artifact model
-    double t_start = 0.0;   ///< first chemistry step (after settling)
-    double t_stop = 0.0;    ///< end of the channel's protocol
-  };
-
-  PanelEntryResult run_panel_entry(std::uint64_t run_id, Channel channel,
-                                   const ChannelProtocol& protocol,
-                                   afe::AnalogFrontEnd& fe,
-                                   const afe::AnalogMux& mux,
-                                   const PanelSlot& slot) const;
-
-  /// Run one lane group of compatible chronoamperometric oxidase channels
-  /// in lockstep through the batched SoA kernel; fills entries[c] for every
-  /// c in `group`. Per channel the sampled trace is bitwise identical to
-  /// run_panel_entry with the same run id.
-  void run_panel_lane_group(std::span<const std::size_t> group,
-                            std::uint64_t base_id,
-                            std::span<const Channel> channels,
-                            std::span<const ChannelProtocol> protocols,
-                            std::span<afe::AnalogFrontEnd* const> frontends,
-                            const afe::AnalogMux& mux,
-                            std::span<const PanelSlot> slots,
-                            std::span<PanelEntryResult> entries) const;
+  /// One measurement on the scalar path.
+  MeasurementResult run_scalar(const Measurement& m) const;
+  /// Lockstep runs of compatible measurements (indices into `all`): CA on
+  /// oxidase probes and CV on CYP probes. Each hands every lane's result
+  /// to `sink`, bitwise identical to run_scalar.
+  void run_ca_lanes(std::span<const Measurement> all,
+                    std::span<const std::size_t> group,
+                    const MeasurementSink& sink) const;
+  void run_cv_lanes(std::span<const Measurement> all,
+                    std::span<const std::size_t> group,
+                    const MeasurementSink& sink) const;
 
   EngineConfig config_;
   std::uint64_t run_counter_ = 0;

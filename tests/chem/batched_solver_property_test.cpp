@@ -227,6 +227,73 @@ TEST(BatchedField, SingleChannelBatchDegeneratesToScalar) {
   }
 }
 
+// Both fields assemble their band coefficients once per (dt, scale, far
+// boundary). A dt change, a fouling-scale change and a far-boundary switch
+// mid-run must each re-assemble them: the cached paths are checked against
+// a reference field whose bands are rebuilt before every step (toggling its
+// scale away and back forces the re-assembly and restores the exact
+// coefficients).
+void check_mid_run_changes(util::Rng& rng, std::size_t w) {
+  const chem::Grid1D grid = random_grid(rng);
+  const std::size_t nodes = grid.size();
+  chem::BatchedDiffusionField batch(grid, w);
+  std::vector<std::unique_ptr<chem::DiffusionField>> cached, fresh;
+  for (std::size_t lane = 0; lane < w; ++lane) {
+    std::vector<double> d(nodes);
+    for (double& v : d) v = rng.uniform(1.0e-10, 2.0e-9);
+    const double c_init = rng.uniform(0.0, 2.0);
+    const double k_het = rng.uniform(0.0, 1.0e-4);
+    batch.configure_lane(lane, d, c_init);
+    batch.set_electrode_rate(lane, k_het);
+    for (auto* set : {&cached, &fresh}) {
+      auto field = std::make_unique<chem::DiffusionField>(grid, d, c_init);
+      field->set_electrode_rate(k_het);
+      set->push_back(std::move(field));
+    }
+  }
+
+  const double dts[] = {5.0e-3, 2.0e-2, 2.0e-2, 5.0e-3};
+  for (int k = 0; k < 32; ++k) {
+    const double dt = dts[k / 8];
+    if (k == 12) {  // fouling sets in on every other lane
+      for (std::size_t lane = 0; lane < w; lane += 2) {
+        const double scale = rng.uniform(0.4, 0.9);
+        batch.set_diffusivity_scale(lane, scale);
+        cached[lane]->set_diffusivity_scale(scale);
+        fresh[lane]->set_diffusivity_scale(scale);
+      }
+    }
+    if (k == 20) {  // lane 0 becomes a sealed chamber
+      batch.set_far_boundary(0, chem::FarBoundary::kSealed);
+      cached[0]->set_far_boundary(chem::FarBoundary::kSealed);
+      fresh[0]->set_far_boundary(chem::FarBoundary::kSealed);
+    }
+    batch.step(dt);
+    for (std::size_t lane = 0; lane < w; ++lane) {
+      const double scale = fresh[lane]->diffusivity_scale();
+      fresh[lane]->set_diffusivity_scale(2.0 * scale);
+      fresh[lane]->set_diffusivity_scale(scale);
+      const double flux = fresh[lane]->step(dt);
+      expect_bits_equal(cached[lane]->step(dt), flux, "cached flux", lane, 0);
+      expect_bits_equal(batch.electrode_flux(lane), flux, "batched flux", lane,
+                        0);
+      for (std::size_t i = 0; i < nodes; ++i) {
+        expect_bits_equal(cached[lane]->at(i), fresh[lane]->at(i),
+                          "cached concentration", lane, i);
+        expect_bits_equal(batch.at(lane, i), fresh[lane]->at(i),
+                          "batched concentration", lane, i);
+      }
+    }
+  }
+}
+
+TEST(BatchedField, MidRunDtScaleAndBoundaryChangesMatchFreshAssembly) {
+  for (std::uint64_t seed : kSeeds) {
+    util::Rng rng(seed ^ 0xc0ffeeULL);
+    for (std::size_t w : kWidths) check_mid_run_changes(rng, w);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // OxidaseLaneBatch vs OxidaseProbe::step, pristine and degraded sensors.
 // ---------------------------------------------------------------------------

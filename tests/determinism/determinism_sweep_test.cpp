@@ -1,6 +1,6 @@
 /// \file determinism_sweep_test.cpp
 /// The unified bitwise-determinism sweep: one parameterized test drives the
-/// ten parallel workloads -- multiplexed panel scan, design-space
+/// eleven parallel workloads -- multiplexed panel scan, design-space
 /// explorer, calibration campaigns, the longitudinal cohort (with
 /// degradation + adaptive recalibration active), the diagnostics
 /// service (a replayed mixed request log with degradation + scheduled
@@ -9,17 +9,20 @@
 /// recovering from loss/crash/partition schedules via retry + failover,
 /// the observability surfaces themselves (the canonical trace and
 /// the metrics snapshot of a replayed log), the batched-SoA panel
-/// scan at lane widths {1, 2, 4, auto}, and the live telemetry stream
+/// scan at lane widths {1, 2, 4, auto}, the live telemetry stream
 /// (the encoded frame bytes a complete TelemetryBus subscriber receives
-/// during a replay, plus live-aggregator exactness and bus conservation)
-/// -- across 5 seeds at parallelism {1, 2, hardware}
-/// and asserts digest equality against the sequential run. This replaces the per-subsystem copy-pasted
-/// determinism tests; the shared scaffolding lives in
+/// during a replay, plus live-aggregator exactness and bus conservation),
+/// and a CYP panel replay whose CV reads step in lockstep lanes across
+/// requests (checked against sequential execute() as well) -- across 5
+/// seeds at parallelism {1, 2, hardware} and asserts digest equality
+/// against the sequential run. This replaces the per-subsystem
+/// copy-pasted determinism tests; the shared scaffolding lives in
 /// tests/common/determinism.hpp.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -460,6 +463,17 @@ std::uint64_t snapshot_digest(const obs::MetricsSnapshot& snapshot) {
   return d.value();
 }
 
+/// Digest of a complete subscriber's concatenated encoded frame bytes.
+std::uint64_t frame_bytes_digest(obs::TelemetrySubscriber& subscriber) {
+  std::vector<std::uint8_t> bytes;
+  obs::Frame frame;
+  while (subscriber.pop(frame)) obs::encode_frame(frame, bytes);
+  test::BitDigest d;
+  for (const std::uint8_t b : bytes) d.add_u64(b);
+  d.add_u64(bytes.size());
+  return d.value();
+}
+
 std::uint64_t stream_digest(std::uint64_t seed, std::size_t parallelism) {
   // The live-streaming acceptance criterion: the obs workload replayed
   // with a TelemetryBus attached, digesting the concatenated *encoded
@@ -540,11 +554,113 @@ std::uint64_t stream_digest(std::uint64_t seed, std::size_t parallelism) {
   EXPECT_GT(lossy->stats().dropped, 0u) << "the tight subscriber never spilled";
 
   // The digest: the complete subscriber's concatenated frame bytes.
-  std::vector<std::uint8_t> bytes;
-  while (recorder->pop(frame)) obs::encode_frame(frame, bytes);
+  return frame_bytes_digest(*recorder);
+}
+
+// --- the CYP panel: lane-batched replay vs sequential execute() --------------
+
+/// Factory campaigns of the CYP workload, shared by every run (a campaign
+/// is a pure function of its configuration; the store is thread-safe).
+quant::CalibrationStore& cyp_store() {
+  static quant::CalibrationStore store([] {
+    quant::CampaignConfig campaign;
+    campaign.seed = 515151;
+    campaign.calibration_points = 3;
+    campaign.blank_measurements = 3;
+    return campaign;
+  }());
+  return store;
+}
+
+/// A benzphetamine + clozapine panel read by cyclic voltammetry on aging
+/// sensors (denaturing, fouling, reference drift, interference storms)
+/// with a 3-day recalibration cadence.
+serve::ServiceConfig cyp_service_config(std::uint64_t seed) {
+  serve::ServiceConfig config;
+  config.panel = {bio::TargetId::kBenzphetamine, bio::TargetId::kClozapine};
+  config.engine_seed = seed;
+  fault::DegradationParams aging;
+  aging.fouling_rate_per_day = 0.05;
+  aging.enzyme_decay_per_day = 0.03;
+  aging.reference_drift_V_per_day = 1.0e-3;
+  aging.storms_per_day = 0.5;
+  aging.storm_current_A = 1.0e-9;
+  aging.seed = seed ^ 0xc1907ULL;
+  config.degradation = fault::DegradationModel(aging);
+  config.recalibration_interval_days = 3.0;
+  return config;
+}
+
+/// Enough CV reads per target for lockstep lanes, with QC checks on both
+/// sides of the first recalibration boundary.
+std::vector<serve::Request> cyp_log(const serve::DiagnosticsService& service) {
+  serve::TrafficSpec traffic;
+  traffic.requests = 24;
+  traffic.sessions = 2;
+  traffic.seed = 17;  // one fixed log; the *service* seed varies
+  traffic.duration_h = 5.0 * 24.0;
+  traffic.qc_fraction = 0.3;
+  return serve::synthesize_traffic(traffic, service);
+}
+
+/// The reference: every request of the log through execute(), one at a
+/// time in log order, each capture published as it completes.
+std::uint64_t cyp_execute_digest(std::uint64_t seed) {
+  serve::DiagnosticsService service(cyp_store(), cyp_service_config(seed));
+  const std::vector<serve::Request> log = cyp_log(service);
+  obs::TelemetryBus bus;
+  obs::SubscriberConfig recorder_config;
+  recorder_config.name = "recorder";
+  recorder_config.capacity = 1u << 15;
+  const auto recorder = bus.subscribe(recorder_config);
+  obs::TelemetryStream stream(bus, nullptr, nullptr);
   test::BitDigest d;
-  for (const std::uint8_t b : bytes) d.add_u64(b);
-  d.add_u64(bytes.size());
+  std::size_t late_qc = 0;
+  for (const serve::Request& request : log) {
+    obs::TelemetryCapture capture;
+    const serve::Response response = service.execute(request, &capture);
+    stream.publish(capture);
+    test::fold(d, response);
+    if (response.kind == serve::RequestKind::kQcCheck &&
+        response.calibration_epoch >= 1) {
+      ++late_qc;
+    }
+  }
+  bus.close();
+  EXPECT_GT(late_qc, 0u) << "no QC check planned against an epoch >= 1 "
+                            "calibration";
+  d.add_u64(frame_bytes_digest(*recorder));
+  return d.value();
+}
+
+std::uint64_t cyp_digest(std::uint64_t seed, std::size_t parallelism) {
+  // The lane-batching acceptance criterion: a CYP panel log replayed with
+  // its CV reads stepped in lockstep lanes across requests must equal
+  // sequential execute() bit for bit -- responses and the encoded stream
+  // frames -- at every parallelism (and hence every lane split, which
+  // follows the worker count).
+  serve::DiagnosticsService service(cyp_store(), cyp_service_config(seed));
+  const std::vector<serve::Request> log = cyp_log(service);
+  obs::TelemetryBus bus;
+  obs::SubscriberConfig recorder_config;
+  recorder_config.name = "recorder";
+  recorder_config.capacity = 1u << 15;
+  const auto recorder = bus.subscribe(recorder_config);
+  serve::Scheduler scheduler(service);
+  scheduler.set_stream(&bus);
+  const std::vector<serve::Response> responses =
+      scheduler.replay(log, parallelism);
+  bus.close();
+  test::BitDigest d;
+  for (const serve::Response& response : responses) test::fold(d, response);
+  d.add_u64(frame_bytes_digest(*recorder));
+
+  static std::map<std::uint64_t, std::uint64_t> reference;
+  auto [it, fresh] = reference.try_emplace(seed, 0);
+  if (fresh) it->second = cyp_execute_digest(seed);
+  EXPECT_EQ(d.value(), it->second)
+      << "replay at parallelism " << parallelism
+      << " diverged from sequential execute() at seed " << seed;
   return d.value();
 }
 
@@ -584,7 +700,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Workload{"faulted", faulted_digest},
                       Workload{"obs", obs_digest},
                       Workload{"simd", simd_digest},
-                      Workload{"stream", stream_digest}),
+                      Workload{"stream", stream_digest},
+                      Workload{"cyp", cyp_digest}),
     [](const auto& param_info) { return std::string(param_info.param.name); });
 
 }  // namespace

@@ -5,13 +5,19 @@
 /// epochs live) replayed through a K-shard cluster under an injected
 /// reorder/delay/duplication fault schedule must merge into a global log
 /// *bitwise identical* to single-node Scheduler execution, across
-/// K in {1, 2, 4}, five seeds and parallelism {1, 2, hardware}. Routing,
-/// lease-subdomain disjointness and consistent-hash stability ride along.
+/// K in {1, 2, 4}, five seeds and parallelism {1, 2, hardware}. A CYP
+/// panel log, whose CV reads step in lockstep lanes across the requests of
+/// each shard, must match sequential execute() -- responses and stream
+/// frame bytes -- through both K=2 replay paths, the fault-tolerant one
+/// under loss, crash and partition. Routing, lease-subdomain disjointness
+/// and consistent-hash stability ride along.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -19,6 +25,8 @@
 
 #include "common/determinism.hpp"
 #include "netsim/sim_network.hpp"
+#include "obs/frame.hpp"
+#include "obs/stream.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/shard_coordinator.hpp"
 #include "serve/traffic.hpp"
@@ -296,6 +304,168 @@ TEST(ShardClusterLive, LiveShardedServingMatchesMergedReplayBitwise) {
 
   EXPECT_THROW(live.start(), std::invalid_argument)
       << "a drained cluster must not restart";
+}
+
+// --- CYP panel: lane-batched shard replays ----------------------------------
+
+/// Factory campaigns of the CYP panel (benzphetamine + clozapine, CV).
+quant::CalibrationStore& cyp_store() {
+  static quant::CalibrationStore store = [] {
+    quant::CampaignConfig campaign;
+    campaign.seed = 515151;
+    campaign.calibration_points = 3;
+    campaign.blank_measurements = 3;
+    return quant::CalibrationStore(campaign);
+  }();
+  return store;
+}
+
+serve::ServiceConfig cyp_service_config(std::uint64_t seed) {
+  serve::ServiceConfig config;
+  config.panel = {bio::TargetId::kBenzphetamine, bio::TargetId::kClozapine};
+  config.engine_seed = seed;
+  fault::DegradationParams aging;
+  aging.fouling_rate_per_day = 0.05;
+  aging.enzyme_decay_per_day = 0.03;
+  aging.reference_drift_V_per_day = 1.0e-3;
+  aging.seed = seed ^ 0xc1907ULL;
+  config.degradation = fault::DegradationModel(aging);
+  config.recalibration_interval_days = 3.0;
+  return config;
+}
+
+/// 24 requests from 6 sessions over 5 days: enough CV reads per shard for
+/// lockstep lanes, and QC checks past the first recalibration boundary.
+std::vector<serve::Request> cyp_log(const serve::DiagnosticsService& service) {
+  serve::TrafficSpec spec;
+  spec.requests = 24;
+  spec.sessions = 6;
+  spec.tenants = 3;
+  spec.seed = 29;
+  spec.duration_h = 5.0 * 24.0;
+  spec.qc_fraction = 0.3;
+  return serve::synthesize_traffic(spec, service);
+}
+
+/// Digests of a run: the merged responses and the bytes of every frame a
+/// complete subscriber received.
+struct RunDigest {
+  std::uint64_t responses = 0;
+  std::uint64_t frames = 0;
+  bool operator==(const RunDigest&) const = default;
+};
+
+std::uint64_t frame_digest(obs::TelemetrySubscriber& subscriber) {
+  std::vector<std::uint8_t> bytes;
+  obs::Frame frame;
+  while (subscriber.pop(frame)) obs::encode_frame(frame, bytes);
+  test::BitDigest d;
+  for (const std::uint8_t b : bytes) d.add_u64(b);
+  d.add_u64(bytes.size());
+  return d.value();
+}
+
+std::shared_ptr<obs::TelemetrySubscriber> subscribe_all(obs::TelemetryBus& bus) {
+  obs::SubscriberConfig config;
+  config.name = "recorder";
+  config.capacity = 1u << 15;
+  return bus.subscribe(config);
+}
+
+/// The reference: sequential execute() in log order, each capture
+/// published as it completes -- opened with the kShardRoute span the plain
+/// cluster replay streams when `router` is given.
+RunDigest sequential_execute(std::uint64_t seed,
+                             std::span<const serve::Request> log,
+                             const serve::ShardCluster* router) {
+  serve::DiagnosticsService service(cyp_store(), cyp_service_config(seed));
+  obs::TelemetryBus bus;
+  const auto recorder = subscribe_all(bus);
+  obs::TelemetryStream stream(bus, nullptr, nullptr);
+  std::vector<serve::Response> responses;
+  for (const serve::Request& r : log) {
+    obs::TelemetryCapture capture;
+    if (router != nullptr) {
+      capture.span(r.id, obs::SpanKind::kShardRoute, router->route(r.session),
+                   0, 0, r.time_h);
+    }
+    responses.push_back(service.execute(r, &capture));
+    stream.publish(capture);
+  }
+  bus.close();
+  return {digest_responses(responses), frame_digest(*recorder)};
+}
+
+TEST(CypPanelReplay, LaneBatchedShardReplaysMatchSequentialExecute) {
+  for (const std::uint64_t seed : {3ULL, 2026ULL}) {
+    serve::ShardClusterConfig cluster_config;
+    cluster_config.router.shards = 2;
+    const std::vector<serve::Request> log = [&] {
+      const serve::DiagnosticsService reference(cyp_store(),
+                                                cyp_service_config(seed));
+      return cyp_log(reference);
+    }();
+    const std::size_t late_qc = static_cast<std::size_t>(std::count_if(
+        log.begin(), log.end(), [](const serve::Request& r) {
+          return r.kind == serve::RequestKind::kQcCheck && r.time_h >= 72.0;
+        }));
+    EXPECT_GT(late_qc, 0u) << "no QC check past the first epoch boundary";
+
+    // Plain K=2 replay through a reordering, duplicating transport.
+    {
+      serve::ShardCluster cluster(cyp_store(), cyp_service_config(seed),
+                                  cluster_config);
+      obs::TelemetryBus bus;
+      const auto recorder = subscribe_all(bus);
+      cluster.set_stream(&bus);
+      test::SimNetConfig net;
+      net.seed = seed ^ 0x5ca1eULL;
+      net.max_delay_ticks = 32;
+      net.duplicate_prob = 0.15;
+      test::SimNetTransport transport(net);
+      const serve::ShardedReplayResult result =
+          cluster.replay(log, 2, &transport);
+      bus.close();
+      EXPECT_GT(result.per_shard_requests[0], 0u);
+      EXPECT_GT(result.per_shard_requests[1], 0u);
+      EXPECT_EQ((RunDigest{digest_responses(result.responses),
+                           frame_digest(*recorder)}),
+                sequential_execute(seed, log, &cluster))
+          << "K=2 replay diverged from sequential execute() at seed " << seed;
+    }
+
+    // Fault-tolerant K=2 replay under loss, a shard crash and a partition.
+    {
+      serve::ShardCluster cluster(cyp_store(), cyp_service_config(seed),
+                                  cluster_config);
+      obs::TelemetryBus bus;
+      const auto recorder = subscribe_all(bus);
+      cluster.set_stream(&bus);
+      test::SimNetConfig net;
+      net.seed = seed ^ 0xfa017ULL;
+      net.max_delay_ticks = 24;
+      net.duplicate_prob = 0.10;
+      net.drop_prob = 0.05;
+      net.crashes = {{.shard = cluster.route(log[0].session),
+                      .from_tick = 10,
+                      .until_tick = 300}};
+      net.partitions = {{.shard = 1 - cluster.route(log[0].session),
+                         .from_tick = 350,
+                         .until_tick = 520}};
+      test::SimNetTransport transport(net);
+      const serve::FaultTolerantReplayResult result =
+          cluster.replay_fault_tolerant(log, 0, &transport);
+      bus.close();
+      EXPECT_GT(result.faults.messages_dropped + result.faults.shard_failovers,
+                0u);
+      EXPECT_EQ((RunDigest{digest_responses(result.responses),
+                           frame_digest(*recorder)}),
+                sequential_execute(seed, log, nullptr))
+          << "fault-tolerant K=2 replay diverged from sequential execute() "
+             "at seed "
+          << seed;
+    }
+  }
 }
 
 }  // namespace

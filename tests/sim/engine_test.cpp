@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "bio/library.hpp"
 #include "dsp/peaks.hpp"
@@ -222,6 +226,114 @@ TEST(Engine, PanelRequiresMatchingSpans) {
   afe::AnalogMux mux(afe::MuxSpec{});
   EXPECT_THROW(engine.run_panel(channels, protocols, fes, mux),
                std::invalid_argument);
+}
+
+TEST(Engine, LaneRuleKeepsEveryWorkerBusy) {
+  using Sizes = std::vector<std::size_t>;
+  // One worker: the widest jobs.
+  EXPECT_EQ(lane_jobs_per_group(Sizes{8}, 0, 1, 8), Sizes{1});
+  EXPECT_EQ(lane_jobs_per_group(Sizes{100}, 0, 4, 8), Sizes{13});
+  // Too few jobs for the workers: split, but never below 4 lanes a job.
+  EXPECT_EQ(lane_jobs_per_group(Sizes{8}, 0, 2, 8), Sizes{2});
+  EXPECT_EQ(lane_jobs_per_group(Sizes{8}, 0, 4, 8), Sizes{2});
+  EXPECT_EQ(lane_jobs_per_group(Sizes{16}, 0, 3, 8), Sizes{3});
+  EXPECT_EQ(lane_jobs_per_group(Sizes{8, 8}, 0, 4, 8), (Sizes{2, 2}));
+  // Enough jobs already (lane groups or scalar measurements): stay wide.
+  EXPECT_EQ(lane_jobs_per_group(Sizes{8, 8, 8, 8}, 0, 4, 8),
+            (Sizes{1, 1, 1, 1}));
+  EXPECT_EQ(lane_jobs_per_group(Sizes{8}, 3, 4, 8), Sizes{1});
+  // The group with the widest jobs splits first.
+  EXPECT_EQ(lane_jobs_per_group(Sizes{6, 16}, 0, 4, 8), (Sizes{1, 3}));
+  // A group that cannot fill 4 lanes runs scalar.
+  EXPECT_EQ(lane_jobs_per_group(Sizes{3, 1}, 0, 1, 8), (Sizes{0, 0}));
+  // Explicit widths cap the job and lower the fill floor with it; width 1
+  // disables lanes.
+  EXPECT_EQ(lane_jobs_per_group(Sizes{5}, 0, 1, 2), Sizes{3});
+  EXPECT_EQ(lane_jobs_per_group(Sizes{8}, 0, 4, 3), Sizes{3});
+  EXPECT_EQ(lane_jobs_per_group(Sizes{8}, 0, 1, 1), Sizes{0});
+}
+
+TEST(Engine, LaneBatchedMeasurementsMatchScalarAtEveryWidth) {
+  // A mixed list: two CA lane classes (different durations), CYP sweeps
+  // of two protocols, and measurements no kernel batches (a direct
+  // probe, an oxidase under CV). Every width and parallelism must give
+  // the scalar results bit for bit, in index order.
+  const bio::TargetId ca_targets[] = {
+      bio::TargetId::kGlucose, bio::TargetId::kLactate,
+      bio::TargetId::kGlutamate, bio::TargetId::kGlucose,
+      bio::TargetId::kLactate, bio::TargetId::kGlucose};
+  const bio::TargetId cv_targets[] = {
+      bio::TargetId::kBenzphetamine, bio::TargetId::kClozapine,
+      bio::TargetId::kCholesterol, bio::TargetId::kBenzphetamine,
+      bio::TargetId::kErythromycin, bio::TargetId::kClozapine};
+  ChronoamperometryProtocol ca_short, ca_long;
+  ca_short.potential = 550_mV;
+  ca_short.duration = 2.0;
+  ca_long.potential = 600_mV;
+  ca_long.duration = 3.0;
+  CyclicVoltammetryProtocol cv_a, cv_b;
+  cv_a.e_start = 0.1;
+  cv_a.e_vertex = -0.5;
+  cv_a.scan_rate = 0.1;
+  cv_b = cv_a;
+  cv_b.e_vertex = -0.45;
+
+  auto run = [&](std::size_t lanes, std::size_t parallelism) {
+    EngineConfig config;
+    config.batch_lanes = lanes;
+    const MeasurementEngine engine(config);
+    std::vector<bio::ProbePtr> probes;
+    std::vector<std::unique_ptr<afe::AnalogFrontEnd>> fes;
+    std::vector<Measurement> measurements;
+    auto add = [&](bio::TargetId id, const ChannelProtocol& protocol) {
+      probes.push_back(bio::make_probe(id));
+      probes.back()->set_bulk_concentration(bio::to_string(id), 0.01);
+      fes.push_back(std::make_unique<afe::AnalogFrontEnd>(
+          lab_frontend(measurements.size()).config()));
+      fault::SensorState sensor;
+      sensor.enzyme_activity = 0.9;
+      sensor.membrane_transmission = 0.8;
+      measurements.push_back(Measurement{
+          40 + measurements.size(), Channel{probes.back().get(), nullptr,
+                                            sensor},
+          protocol, fes.back().get()});
+    };
+    for (std::size_t i = 0; i < 6; ++i) {
+      add(ca_targets[i], i % 2 == 0 ? ca_short : ca_long);
+      add(cv_targets[i], i < 4 ? cv_a : cv_b);
+    }
+    add(bio::TargetId::kDopamine, cv_a);
+    add(bio::TargetId::kGlucose, cv_a);
+    std::vector<MeasurementResult> results(measurements.size());
+    engine.run_measurements(measurements, parallelism,
+                            [&](std::size_t i, MeasurementResult&& r) {
+                              results[i] = std::move(r);
+                            });
+    std::vector<double> flat;
+    for (const MeasurementResult& r : results) {
+      flat.insert(flat.end(), r.amperogram.value().begin(),
+                  r.amperogram.value().end());
+      flat.insert(flat.end(), r.voltammogram.current().begin(),
+                  r.voltammogram.current().end());
+      flat.push_back(static_cast<double>(r.amperogram.size()));
+      flat.push_back(static_cast<double>(r.voltammogram.size()));
+    }
+    return flat;
+  };
+
+  const std::vector<double> scalar = run(1, 1);
+  for (const std::size_t lanes : {2u, 3u, 4u, 0u}) {
+    for (const std::size_t parallelism : {1u, 3u}) {
+      const std::vector<double> batched = run(lanes, parallelism);
+      ASSERT_EQ(batched.size(), scalar.size());
+      for (std::size_t i = 0; i < scalar.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(batched[i]),
+                  std::bit_cast<std::uint64_t>(scalar[i]))
+            << "lanes " << lanes << ", parallelism " << parallelism
+            << ", value " << i;
+      }
+    }
+  }
 }
 
 TEST(Engine, ProtocolDurationHelper) {
