@@ -5,8 +5,8 @@
 /// sustained throughput plus p50/p90/p99 queue-wait and service-time
 /// latency per priority class as benchmark counters, the replay path's
 /// parallel scaling, the live telemetry-bus fan-out tax at 0/2/8
-/// subscribers, and the fault-tolerant replay's throughput under
-/// injected loss and a shard-crash failover. Writes google-benchmark JSON
+/// subscribers, and the sharded replay's throughput under injected loss
+/// and a shard-crash failover. Writes google-benchmark JSON
 /// to BENCH_serve.json
 /// (override with --benchmark_out=...) so successive PRs accumulate a
 /// comparable service-workload measurement.
@@ -115,7 +115,7 @@ void BM_ServeLoad(benchmark::State& state) {
     state.counters["queue_high_water"] =
         static_cast<double>(scheduler.queue().high_water());
     state.counters["rejected"] +=
-        static_cast<double>(scheduler.queue().rejected());
+        static_cast<double>(scheduler.queue().stats().rejected_full);
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(completed));
@@ -285,7 +285,8 @@ BENCHMARK(BM_TelemetryFanout)
 /// Shard-count scaling of the distributed replay path: the same recorded
 /// log routed across K in-process shards and merged back through the
 /// coordinator (perfect transport; the network cost modelled here is the
-/// routing + envelope + sorted-merge overhead, not wire latency). K=1 vs
+/// routing + dispatch + envelope + sorted-merge overhead, not wire
+/// latency). K=1 vs
 /// BM_ServeReplay isolates the coordinator's own tax.
 void BM_ShardedReplay(benchmark::State& state) {
   static quant::CalibrationStore store(bench_campaign());
@@ -319,7 +320,8 @@ BENCHMARK(BM_ShardedReplay)
     ->Unit(benchmark::kMillisecond);
 
 /// Fault-tolerance tax of the distributed replay: the same recorded log
-/// through the retrying/failover replay path over the simulated network
+/// as BM_ShardedReplay, replayed over the simulated network (5%
+/// duplication, 24-tick delay envelope) instead of the perfect transport,
 /// at 0% / 1% / 5% message loss across 2 shards, plus a one-shard-crash
 /// failover run. The counters expose what the recovery cost in virtual
 /// time and extra work; throughput shows what it cost in wall time.
@@ -355,8 +357,8 @@ void BM_FaultedReplay(benchmark::State& state) {
                       .until_tick = 900}};
     }
     test::SimNetTransport transport(net);
-    const serve::FaultTolerantReplayResult result =
-        cluster.replay_fault_tolerant(log, 0, &transport);
+    const serve::ShardedReplayResult result =
+        cluster.replay(log, 0, &transport);
     responses += result.responses.size();
     faults = result.faults;  // identical every iteration (seeded)
     ++iterations;

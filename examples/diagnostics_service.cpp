@@ -134,7 +134,7 @@ int main() {
       "rejected explicitly -- never dropped silently (queue depth %zu, "
       "accepted %llu).\n",
       rejected, log.size(), overload.queue().depth(),
-      static_cast<unsigned long long>(overload.queue().accepted()));
+      static_cast<unsigned long long>(overload.queue().stats().accepted));
 
   // --- guarantee 4: graceful degradation under overload ---------------------
   // Shed watermarks turn sustained depth into *early* explicit rejection

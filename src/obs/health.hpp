@@ -4,7 +4,7 @@
 /// A FleetHealthAnalyzer consumes the observability streams the rest of
 /// the stack already produces -- serve QC-check responses (standardised
 /// blank + standard residuals with sensor age), plus per-session network
-/// fault rates from the fault-tolerant replay metrics -- and reduces each
+/// fault rates from the cluster replay metrics -- and reduces each
 /// monitored (session, channel) sensor to a SensorHealthFeatures row:
 ///
 /// - blank residual level/trend/spike count   (AFE drift vs storms)

@@ -6,11 +6,12 @@
 /// reroute, failover, rejoin, calibration epoch swap, recalibration
 /// campaign, merge -- keyed by request id (or session site for
 /// session-scoped spans) with *virtual-clock* timestamps: the request's
-/// service-timeline instant (time_h) and, on the fault-tolerant path, the
-/// simulated-network tick. Wall-clock never enters an event, so the
-/// exported trace of a replayed log is a pure function of (log, seed,
-/// configuration): bitwise identical at parallelism 1 / N / hardware,
-/// which the 'obs' workload of the unified determinism sweep pins.
+/// service-timeline instant (time_h) and, for the cluster replay's
+/// recovery spans, the simulated-network tick. Wall-clock never enters an
+/// event, so the exported trace of a replayed log is a pure function of
+/// (log, seed, configuration): bitwise identical at parallelism 1 / N /
+/// hardware, which the 'obs' workload of the unified determinism sweep
+/// pins.
 ///
 /// Concurrency & canonicalisation: record() is thread-safe and may be
 /// called from any scheduler worker or batch lane. Arrival order is
@@ -41,7 +42,7 @@ enum class SpanKind : std::uint8_t {
   kLeaseGrant = 2,   ///< run-id block leased (entity = first leased run id)
   kShardRoute = 3,   ///< router placement (entity = primary shard)
   kExecution = 4,    ///< one measured channel (entity = channel, value = run id)
-  kRetry = 5,        ///< past-deadline retransmit (entity = attempt ordinal)
+  kRetry = 5,        ///< past-deadline retransmit (entity = target shard)
   kReroute = 6,      ///< dispatch sent to a non-primary shard (entity = target)
   kFailover = 7,     ///< detector declared a shard down (key = shard)
   kRejoin = 8,       ///< detector saw a declared-down shard return (key = shard)
@@ -63,7 +64,7 @@ struct TraceEvent {
   SpanKind kind = SpanKind::kExecution;
   std::uint64_t entity = 0;  ///< kind-specific: channel, shard, run id, ...
   std::uint64_t sequence = 0;  ///< ordinal separating repeats of one kind
-  std::uint64_t tick = 0;    ///< virtual-clock tick (fault-tolerant path; else 0)
+  std::uint64_t tick = 0;    ///< virtual-clock tick (cluster recovery; else 0)
   double time_h = 0.0;       ///< service-timeline instant of the subject
   double value = 0.0;        ///< kind-specific payload (epoch, outcome, ...)
 

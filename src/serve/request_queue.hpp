@@ -152,17 +152,7 @@ class RequestQueue {
   /// Largest depth ever observed.
   std::size_t high_water() const;
 
-  // Per-counter accessors. These predate the metrics registry and remain
-  // as thin wrappers over stats(); new code should snapshot the registry
-  // (or stats()) instead of polling counters one lock each.
-  std::uint64_t offered() const { return stats().offered; }
-  std::uint64_t accepted() const { return stats().accepted; }
-  std::uint64_t rejected() const { return stats().rejected_full; }
-  std::uint64_t rejected_closed() const { return stats().rejected_closed; }
-  std::uint64_t shed() const { return stats().shed; }
-  std::uint64_t timed_out() const { return stats().timed_out; }
-
-  /// One consistent snapshot of all the counters above.
+  /// One consistent snapshot of the admission counters.
   QueueStats stats() const;
 
  private:

@@ -254,7 +254,7 @@ class DiagnosticsService {
   obs::MetricsRegistry* metrics_ = nullptr;
 };
 
-/// The replay pipeline of Scheduler::replay and both ShardCluster replays:
+/// The replay pipeline of Scheduler::replay and ShardCluster::replay:
 /// plan log[i] on *services[i], measure each distinct service's plans in
 /// one lane-batched engine run, then finish every request; responses land
 /// in log order. Every stage fans out over `parallelism` workers (0 =

@@ -1,12 +1,11 @@
 /// \file shard_coordinator.cpp
-/// ShardCluster + ResultMerger implementation: routing, deterministic
-/// merged replay over a (possibly faulty) transport, the fault-tolerant
-/// retry/failover replay loop, and the live fan-in mode.
+/// ShardCluster + ResultMerger implementation: routing, the deterministic
+/// merged replay with its retry/failover loop over a (possibly faulty)
+/// transport, and the live fan-in mode.
 
 #include "serve/shard_coordinator.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <utility>
 
@@ -139,11 +138,25 @@ DiagnosticsService& ShardCluster::shard(std::size_t s) {
   return *services_[s];
 }
 
-LeaseCensus ShardCluster::census_of(
-    std::span<const Request> log, std::span<const std::size_t> owner_of,
-    std::span<const std::size_t> primary) const {
-  util::require(owner_of.size() == log.size() && primary.size() == log.size(),
+std::vector<std::size_t> ShardCluster::primaries(
+    std::span<const Request> log) const {
+  std::vector<std::size_t> shard_of(log.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    shard_of[i] = router_.route(log[i].session);
+  }
+  return shard_of;
+}
+
+LeaseCensus ShardCluster::lease_census(std::span<const Request> log) const {
+  return lease_census(log, primaries(log));
+}
+
+LeaseCensus ShardCluster::lease_census(
+    std::span<const Request> log,
+    std::span<const std::size_t> executed_by) const {
+  util::require(executed_by.size() == log.size(),
                 "census ownership must cover the whole log");
+  const std::vector<std::size_t> primary = primaries(log);
   LeaseCensus census;
   census.per_shard.resize(shard_count());
   const DiagnosticsService& reference = *services_.front();
@@ -152,7 +165,7 @@ LeaseCensus ShardCluster::census_of(
   std::vector<std::set<std::uint64_t>> shard_sessions(shard_count());
   for (std::size_t i = 0; i < log.size(); ++i) {
     const Request& r = log[i];
-    const std::size_t s = owner_of[i];
+    const std::size_t s = executed_by[i];
     util::require(s < shard_count(), "census owner shard out of range");
     ShardLeaseDomain& domain = census.per_shard[s];
     const std::uint64_t base = reference.lease_base(r.id);
@@ -180,112 +193,30 @@ LeaseCensus ShardCluster::census_of(
   return census;
 }
 
-LeaseCensus ShardCluster::lease_census(std::span<const Request> log) const {
-  std::vector<std::size_t> primary(log.size());
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    primary[i] = router_.route(log[i].session);
-  }
-  return census_of(log, primary, primary);
-}
-
-LeaseCensus ShardCluster::lease_census(
-    std::span<const Request> log,
-    std::span<const std::size_t> executed_by) const {
-  std::vector<std::size_t> primary(log.size());
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    primary[i] = router_.route(log[i].session);
-  }
-  return census_of(log, executed_by, primary);
-}
-
 std::vector<Response> ShardCluster::run_primary(
     std::span<const Request> log, std::span<const std::size_t> shard_of,
-    std::size_t parallelism, bool route_spans) {
+    std::size_t parallelism) {
   std::vector<DiagnosticsService*> service_of(log.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
     service_of[i] = services_[shard_of[i]].get();
   }
   if (stream_ == nullptr) {
+    if (trace_ != nullptr) {
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        trace_->record(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0,
+                       0, log[i].time_h);
+      }
+    }
     return replay_pipeline(log, service_of, parallelism, nullptr);
   }
+  // Streaming: the route span travels in each request's capture instead
+  // (the fold into the trace reproduces it bit for bit).
   obs::TelemetryStream stream_out(*stream_, trace_, metrics_);
-  std::function<void(std::size_t, obs::TelemetryCapture&)> route;
-  if (route_spans) {
-    route = [&](std::size_t i, obs::TelemetryCapture& capture) {
-      capture.span(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0, 0,
-                   log[i].time_h);
-    };
-  }
+  const auto route = [&](std::size_t i, obs::TelemetryCapture& capture) {
+    capture.span(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0, 0,
+                 log[i].time_h);
+  };
   return replay_pipeline(log, service_of, parallelism, &stream_out, route);
-}
-
-ShardedReplayResult ShardCluster::replay(std::span<const Request> log,
-                                         std::size_t parallelism,
-                                         ShardTransport* transport) {
-  DirectTransport direct;
-  if (transport == nullptr) transport = &direct;
-
-  // Route up front: shard assignment and per-shard send sequences are
-  // fixed before anything executes, exactly like run-id leases. Under
-  // streaming, the route span travels in each request's capture instead
-  // of recording here (the fold reproduces it bit for bit).
-  const bool streaming = stream_ != nullptr;
-  std::vector<std::size_t> shard_of(log.size());
-  std::vector<std::vector<std::size_t>> routed(shard_count());
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    shard_of[i] = router_.route(log[i].session);
-    routed[shard_of[i]].push_back(i);
-    if (!streaming && trace_ != nullptr) {
-      trace_->record(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0, 0,
-                     log[i].time_h);
-    }
-  }
-
-  // Execute everything on its shard (the replay pipeline of
-  // Scheduler::replay, so parallelism semantics match it). Streaming
-  // captures publish in log order during THIS phase -- before transport
-  // and merge -- so the frame sequence never depends on the transport's
-  // delivery schedule.
-  std::vector<Response> responses =
-      run_primary(log, shard_of, parallelism, /*route_spans=*/true);
-
-  // Stream shard result streams into the transport round-robin, so
-  // cross-shard interleaving is real even before the transport reorders.
-  ShardedReplayResult result;
-  result.per_shard_requests.reserve(shard_count());
-  for (const std::vector<std::size_t>& indices : routed) {
-    result.per_shard_requests.push_back(indices.size());
-  }
-  std::vector<std::size_t> cursor(shard_count(), 0);
-  for (bool pending = !log.empty(); pending;) {
-    pending = false;
-    for (std::size_t s = 0; s < shard_count(); ++s) {
-      if (cursor[s] >= routed[s].size()) continue;
-      ResponseEnvelope envelope;
-      envelope.shard = s;
-      envelope.sequence = cursor[s];
-      envelope.response = std::move(responses[routed[s][cursor[s]]]);
-      transport->send(std::move(envelope));
-      if (++cursor[s] < routed[s].size()) pending = true;
-    }
-  }
-
-  // Coordinator drain + sorted merge keyed on request id.
-  ResultMerger merger;
-  ResponseEnvelope envelope;
-  while (transport->poll(envelope)) {
-    if (merger.accept(envelope) && trace_ != nullptr) {
-      trace_->record(envelope.response.request_id, obs::SpanKind::kMerge,
-                     envelope.shard, envelope.sequence, 0,
-                     envelope.response.time_h);
-    }
-  }
-  result.merge = merger.stats();
-  result.responses = merger.finish(log.size());
-  if (metrics_ != nullptr) {
-    result.merge.publish(*metrics_, result.responses.size());
-  }
-  return result;
 }
 
 // GCC 12's -Wfree-nonheap-object misfires on the stack-local bookkeeping
@@ -296,25 +227,26 @@ ShardedReplayResult ShardCluster::replay(std::span<const Request> log,
 #pragma GCC diagnostic ignored "-Wfree-nonheap-object"
 #endif
 
-FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
+ShardedReplayResult ShardCluster::replay(
     std::span<const Request> log, std::size_t parallelism,
     ClusterTransport* transport, const FaultToleranceConfig& fault_config) {
   DirectClusterTransport direct;
   if (transport == nullptr) transport = &direct;
 
-  // Route up front, and index responses by request id so arrivals map
-  // back to their log slot.
-  std::vector<std::size_t> shard_of(log.size());
+  // Route up front -- shard assignment is fixed before anything executes,
+  // exactly like run-id leases -- and index responses by request id so
+  // arrivals map back to their log slot. A repeated id fails here, before
+  // any request executes.
+  const std::vector<std::size_t> shard_of = primaries(log);
   std::map<std::uint64_t, std::size_t> index_of;
-  FaultTolerantReplayResult result;
+  ShardedReplayResult result;
   result.per_shard_requests.assign(shard_count(), 0);
   result.executed_by.assign(log.size(), 0);
   for (std::size_t i = 0; i < log.size(); ++i) {
-    shard_of[i] = router_.route(log[i].session);
     ++result.per_shard_requests[shard_of[i]];
     const auto [it, fresh] = index_of.try_emplace(log[i].id, i);
     (void)it;
-    util::require(fresh, "request ids in a log must be unique");
+    util::ensure(fresh, "request ids in a log must be unique");
   }
 
   // Precompute the primary-route responses through the replay pipeline
@@ -324,13 +256,13 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
   // function of (log, config, fault schedule) at any parallelism. A real
   // shard computes a response on first execution and caches it for
   // retransmits; precomputing expresses the identical purity statement.
-  // Streaming: the fault-tolerant path streams each request's capture
-  // once, here, in log order. Recovery telemetry (kRetry / kReroute /
+  // Streaming: each request's capture streams once, here, in log order --
+  // before transport and merge. Recovery telemetry (kRetry / kReroute /
   // kFailover / kMerge, and failover re-executions) depends on the fault
   // schedule and records into the batch recorder only -- the stream's
   // determinism contract is over (log, seed, config) alone.
   const std::vector<Response> primary_responses =
-      run_primary(log, shard_of, parallelism, /*route_spans=*/false);
+      run_primary(log, shard_of, parallelism);
 
   RetryTracker tracker(fault_config.retry);
   FailureDetector detector(fault_config.detector, shard_count());
@@ -343,23 +275,20 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
   // coordinator currently believes is alive. Failover lives here: when
   // the detector declared the primary down, the work goes to the first
   // surviving peer -- which executes it live with the request's own
-  // run-id lease, so the rerouted response is bitwise identical.
+  // run-id lease, so the rerouted response is bitwise identical. The
+  // first dispatch always goes to the primary (the detector has no verdict
+  // yet) and is traced by the route span, so only retransmits trace here.
   const auto dispatch = [&](std::size_t index) {
     (void)tracker.dispatched(index, transport->now());
     const std::size_t primary = shard_of[index];
     const std::size_t target = detector.route_around(primary);
     if (target != primary) ++result.faults.reroutes;
     ++attempts[index];
-    if (trace_ != nullptr) {
+    if (trace_ != nullptr && attempts[index] > 1) {
       const std::uint64_t id = log[index].id;
       const double time_h = log[index].time_h;
-      if (attempts[index] == 1) {
-        trace_->record(id, obs::SpanKind::kShardRoute, target, 0,
-                       transport->now(), time_h);
-      } else {
-        trace_->record(id, obs::SpanKind::kRetry, target,
-                       attempts[index] - 1, transport->now(), time_h);
-      }
+      trace_->record(id, obs::SpanKind::kRetry, target, attempts[index] - 1,
+                     transport->now(), time_h);
       if (target != primary) {
         trace_->record(id, obs::SpanKind::kReroute, target,
                        attempts[index] - 1, transport->now(), time_h,
@@ -415,34 +344,33 @@ FaultTolerantReplayResult ShardCluster::replay_fault_tolerant(
     }
 
     // Coordinator side: fold in liveness evidence, then sweep timeouts.
+    // With a trace attached, both steps are bracketed so every verdict
+    // transition records a span: heartbeats rejoin, timeouts fail over.
+    std::vector<ShardHealth> before;
+    if (trace_ != nullptr) {
+      for (std::size_t s = 0; s < shard_count(); ++s) {
+        before.push_back(detector.health(s));
+      }
+    }
     HeartbeatEnvelope heartbeat;
     while (transport->poll_heartbeat(heartbeat)) {
       detector.heartbeat(heartbeat.shard, transport->now());
     }
-    if (trace_ != nullptr) {
-      // Bracket update() to trace the detector's verdict transitions.
-      std::vector<ShardHealth> before(shard_count());
-      for (std::size_t s = 0; s < shard_count(); ++s) {
-        before[s] = detector.health(s);
-      }
-      detector.update(transport->now());
-      for (std::size_t s = 0; s < shard_count(); ++s) {
-        const ShardHealth now_health = detector.health(s);
-        if (now_health == before[s]) continue;
-        trace_->record(s,
-                       now_health == ShardHealth::kDown
-                           ? obs::SpanKind::kFailover
-                           : obs::SpanKind::kRejoin,
-                       0, 0, transport->now());
-      }
-    } else {
-      detector.update(transport->now());
+    detector.update(transport->now());
+    for (std::size_t s = 0; s < before.size(); ++s) {
+      const ShardHealth now_health = detector.health(s);
+      if (now_health == before[s]) continue;
+      trace_->record(s,
+                     now_health == ShardHealth::kDown
+                         ? obs::SpanKind::kFailover
+                         : obs::SpanKind::kRejoin,
+                     0, 0, transport->now());
     }
 
     // Coordinator side: merge matured responses; completion cancels the
     // pending retry.
     ResponseEnvelope envelope;
-    while (transport->poll_ready(envelope)) {
+    while (transport->poll(envelope)) {
       if (merger.accept(envelope)) {
         const std::size_t index = index_of.at(envelope.response.request_id);
         result.executed_by[index] = envelope.shard;

@@ -17,20 +17,20 @@
 /// disjoint across shards (lease_census() audits this for a log). The
 /// merged K-shard replay is consequently bitwise identical to single-node
 /// Scheduler::replay for the same traffic log -- at any K, any
-/// parallelism, and under any at-least-once transport fault schedule
-/// (message reorder, delay, duplication), which tests/netsim/ proves.
+/// parallelism, and under any transport fault schedule, which
+/// tests/netsim/ proves.
 ///
-/// Fault tolerance (the PR 7 extension): replay_fault_tolerant() survives
-/// *loss* as well -- per-message drops, shard crash/restart windows and
-/// bidirectional partitions -- by combining a virtual-clock retry policy
-/// (serve/retry.hpp), heartbeat failure detection with failover rerouting
-/// (serve/failure_detector.hpp) and the merger's request-id dedup. The
-/// purity argument makes every recovery action safe: a retransmitted or
-/// failed-over execution of request r is bitwise identical to the
-/// original, because r's run-id lease belongs to r, not to any shard. The
-/// merged hostile replay is therefore STILL bitwise identical to fault-
-/// free single-node execution, and the lease census proves run-id
-/// ownership stayed disjoint even after rerouting.
+/// Fault tolerance: replay() survives message reorder, delay and
+/// duplication, and *loss* as well -- per-message drops, shard
+/// crash/restart windows and bidirectional partitions -- by combining a
+/// virtual-clock retry policy (serve/retry.hpp), heartbeat failure
+/// detection with failover rerouting (serve/failure_detector.hpp) and the
+/// merger's request-id dedup. The purity argument makes every recovery
+/// action safe: a retransmitted or failed-over execution of request r is
+/// bitwise identical to the original, because r's run-id lease belongs to
+/// r, not to any shard. The merged hostile replay is therefore STILL
+/// bitwise identical to fault-free single-node execution, and the lease
+/// census proves run-id ownership stayed disjoint even after rerouting.
 ///
 /// Merge contract: the global log is the request-id-sorted set of unique
 /// responses -- the same canonical order CsvResultSink writes -- with
@@ -159,16 +159,7 @@ struct ShardClusterConfig {
   SchedulerConfig scheduler;
 };
 
-/// Result of one deterministic sharded replay.
-struct ShardedReplayResult {
-  /// The merged global log, ordered by request id; bitwise identical to
-  /// single-node Scheduler::replay of the same log.
-  std::vector<Response> responses;
-  MergeStats merge;
-  std::vector<std::size_t> per_shard_requests;
-};
-
-/// Knobs of the fault-tolerant replay path.
+/// Knobs of the replay's retry/failover loop.
 struct FaultToleranceConfig {
   RetryPolicy retry;
   FailureDetectorConfig detector;
@@ -178,8 +169,8 @@ struct FaultToleranceConfig {
   std::uint64_t max_ticks = 1'000'000;
 };
 
-/// Fault-handling observability of one fault-tolerant replay. Every count
-/// is a pure function of (log, configuration, transport fault schedule).
+/// Fault-handling observability of one replay. Every count is a pure
+/// function of (log, configuration, transport fault schedule).
 struct FaultStats {
   std::uint64_t dispatches = 0;   ///< work sends, initial + retransmit
   std::uint64_t retries = 0;      ///< dispatches beyond each request's first
@@ -206,13 +197,15 @@ struct FaultStats {
   void publish(obs::MetricsRegistry& registry) const;
 };
 
-/// Result of one fault-tolerant replay: the merged log (bitwise identical
-/// to the fault-free path) plus what it took to get there.
-struct FaultTolerantReplayResult {
+/// Result of one sharded replay: the merged log plus what it took to get
+/// there.
+struct ShardedReplayResult {
+  /// The merged global log, ordered by request id; bitwise identical to
+  /// single-node Scheduler::replay of the same log.
   std::vector<Response> responses;
   MergeStats merge;
   FaultStats faults;
-  /// Primary (router) request counts per shard, as in ShardedReplayResult.
+  /// Primary (router) request counts per shard.
   std::vector<std::size_t> per_shard_requests;
   /// Shard whose execution produced each merged response, in log order.
   /// Differs from the primary route exactly where failover rerouted.
@@ -221,20 +214,16 @@ struct FaultTolerantReplayResult {
 
 /// K identically configured service shards behind one router.
 ///
-/// Three modes, mirroring Scheduler:
-/// - replay(log, parallelism, transport): deterministic merged replay --
-///   route, execute every request on its shard (the replay pipeline of
-///   Scheduler::replay), stream the per-shard responses through the
-///   transport (round-robin across shards so streams genuinely
-///   interleave), merge. Default transport is the lossless
-///   DirectTransport; requires at-least-once delivery (no loss).
-/// - replay_fault_tolerant(log, parallelism, transport, config): the
-///   resilient replay -- same guarantees, but over a ClusterTransport
-///   that may drop messages, crash shards and partition links. The
-///   coordinator re-requests past-deadline responses with capped
-///   exponential backoff and reroutes around shards its failure detector
-///   declared down; recovered shards rejoin without re-executing work
-///   that already merged.
+/// Two modes, mirroring Scheduler:
+/// - replay(log, parallelism, transport, config): deterministic merged
+///   replay -- route, execute every request on its shard (the replay
+///   pipeline of Scheduler::replay), then dispatch work and merge the
+///   responses over a ClusterTransport that may reorder, duplicate and
+///   drop messages, crash shards and partition links. The coordinator
+///   re-requests past-deadline responses with capped exponential backoff
+///   and reroutes around shards its failure detector declared down;
+///   recovered shards rejoin without re-executing work that already
+///   merged. Default transport is the perfect DirectClusterTransport.
 /// - start()/submit()/drain_and_stop(): live mode -- each shard runs its
 ///   own Scheduler over its own bounded priority queue, all fanning into
 ///   one shared sink; submit() routes by session key. Per-priority latency
@@ -263,29 +252,25 @@ class ShardCluster {
 
   /// Audit a *completed* replay: attributes each request's lease block to
   /// the shard that actually produced its merged response (`executed_by`
-  /// from FaultTolerantReplayResult). Disjointness must survive failover
+  /// from ShardedReplayResult). Disjointness must survive failover
   /// rerouting -- leases are keyed by request id, never by shard.
   LeaseCensus lease_census(std::span<const Request> log,
                            std::span<const std::size_t> executed_by) const;
 
   // --- deterministic replay -------------------------------------------------
 
-  /// Merged K-shard replay of a recorded log. parallelism 0 = hardware,
-  /// 1 = sequential inline (per the BatchRunner contract); `transport`
-  /// nullptr uses a lossless in-order DirectTransport.
+  /// Merged K-shard replay of a recorded log, over a transport that may
+  /// be lossy, crashy and partitioned. parallelism 0 = hardware, 1 =
+  /// sequential inline (per the BatchRunner contract); `transport`
+  /// nullptr uses the perfect DirectClusterTransport. The merged
+  /// responses are bitwise identical to single-node Scheduler::replay at
+  /// any parallelism and under any seeded fault schedule (tests/netsim/
+  /// pins this). Request ids must be unique; a repeat throws before
+  /// anything executes.
   ShardedReplayResult replay(std::span<const Request> log,
                              std::size_t parallelism = 0,
-                             ShardTransport* transport = nullptr);
-
-  /// Fault-tolerant merged replay over a lossy/crashy/partitioned
-  /// transport. The merged responses are bitwise identical to replay()
-  /// and to single-node Scheduler::replay at any parallelism and under
-  /// any seeded fault schedule (tests/netsim/ pins this). `transport`
-  /// nullptr uses the perfect DirectClusterTransport.
-  FaultTolerantReplayResult replay_fault_tolerant(
-      std::span<const Request> log, std::size_t parallelism = 0,
-      ClusterTransport* transport = nullptr,
-      const FaultToleranceConfig& fault_config = {});
+                             ClusterTransport* transport = nullptr,
+                             const FaultToleranceConfig& fault_config = {});
 
   // --- live mode ------------------------------------------------------------
 
@@ -322,16 +307,16 @@ class ShardCluster {
   // --- observability ---------------------------------------------------------
 
   /// Attach a trace recorder (nullptr = off) to the cluster and every
-  /// shard service: replay paths then emit kShardRoute / kMerge spans
-  /// (plus kRetry / kReroute / kFailover / kRejoin on the fault-tolerant
-  /// path), and the services emit their execution spans. Attach before
+  /// shard service: replay then emits kShardRoute / kMerge spans (plus
+  /// kRetry / kReroute / kFailover / kRejoin when the transport forces
+  /// recovery), and the services emit their execution spans. Attach before
   /// replaying or start().
   void set_trace(obs::TraceRecorder* trace);
 
   /// Attach a metrics registry (nullptr = off) to every shard service,
   /// and -- when attached before start() -- to each shard's scheduler for
-  /// live latency streaming (labels carry the shard index). The replay
-  /// paths additionally publish their merge/fault stats on completion, so
+  /// live latency streaming (labels carry the shard index). Replay
+  /// additionally publishes its merge/fault stats on completion, so
   /// one attached registry satisfies every serve conservation rule.
   void set_metrics(obs::MetricsRegistry* metrics);
 
@@ -339,7 +324,7 @@ class ShardCluster {
   /// `registry` (per-shard labels), live mode only; no-op before start().
   void publish_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Attach a telemetry bus (nullptr = off). Replay paths then stream
+  /// Attach a telemetry bus (nullptr = off). Replay then streams
   /// each request's capture (kShardRoute + the service's spans + metric
   /// deltas) in log order during the execution phase -- BEFORE transport
   /// and merge -- so the published frame sequence is a pure function of
@@ -351,19 +336,16 @@ class ShardCluster {
   void set_stream(obs::TelemetryBus* stream);
 
  private:
-  /// Primary-route execution shared by both replay paths: the replay
-  /// pipeline with request i on shard shard_of[i]. With a stream attached
-  /// each request's capture publishes in log order, opened by its
-  /// kShardRoute span when `route_spans`.
+  /// Primary-route execution: the replay pipeline with request i on shard
+  /// shard_of[i]. Each request's kShardRoute span opens its capture when
+  /// a stream is attached (captures publish in log order), and records
+  /// straight into the trace otherwise.
   std::vector<Response> run_primary(std::span<const Request> log,
                                     std::span<const std::size_t> shard_of,
-                                    std::size_t parallelism, bool route_spans);
+                                    std::size_t parallelism);
 
-  /// Shared census core: attribute each request's lease block to
-  /// owner_of[i], with `primary` used to flag failover attributions.
-  LeaseCensus census_of(std::span<const Request> log,
-                        std::span<const std::size_t> owner_of,
-                        std::span<const std::size_t> primary) const;
+  /// Router (primary) shard of every request in `log`.
+  std::vector<std::size_t> primaries(std::span<const Request> log) const;
 
   ShardClusterConfig config_;
   ShardRouter router_;

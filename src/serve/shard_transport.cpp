@@ -1,6 +1,6 @@
 /// \file shard_transport.cpp
-/// DirectTransport and DirectClusterTransport: the perfect in-order
-/// shard message channels (lossless reference implementations).
+/// DirectClusterTransport: the perfect in-order shard message channel
+/// (the lossless reference implementation).
 
 #include "serve/shard_transport.hpp"
 
@@ -8,18 +8,18 @@
 
 namespace idp::serve {
 
-void DirectTransport::send(ResponseEnvelope envelope) {
-  pending_.push_back(std::move(envelope));
-  ++sent_;
-}
+namespace {
 
-bool DirectTransport::poll(ResponseEnvelope& out) {
-  if (pending_.empty()) return false;
-  out = std::move(pending_.front());
-  pending_.pop_front();
-  ++delivered_;
+/// FIFO pop; false when nothing is pending (the perfect wire never delays).
+template <typename Message>
+bool pop_front(std::deque<Message>& queue, Message& out) {
+  if (queue.empty()) return false;
+  out = std::move(queue.front());
+  queue.pop_front();
   return true;
 }
+
+}  // namespace
 
 void DirectClusterTransport::send(ResponseEnvelope envelope) {
   ++now_;
@@ -28,9 +28,7 @@ void DirectClusterTransport::send(ResponseEnvelope envelope) {
 }
 
 bool DirectClusterTransport::poll(ResponseEnvelope& out) {
-  if (pending_.empty()) return false;
-  out = std::move(pending_.front());
-  pending_.pop_front();
+  if (!pop_front(pending_, out)) return false;
   ++delivered_;
   return true;
 }
@@ -41,10 +39,7 @@ void DirectClusterTransport::send_work(WorkEnvelope work) {
 }
 
 bool DirectClusterTransport::poll_work(WorkEnvelope& out) {
-  if (work_pending_.empty()) return false;
-  out = work_pending_.front();
-  work_pending_.pop_front();
-  return true;
+  return pop_front(work_pending_, out);
 }
 
 void DirectClusterTransport::send_heartbeat(HeartbeatEnvelope heartbeat) {
@@ -53,10 +48,7 @@ void DirectClusterTransport::send_heartbeat(HeartbeatEnvelope heartbeat) {
 }
 
 bool DirectClusterTransport::poll_heartbeat(HeartbeatEnvelope& out) {
-  if (heartbeat_pending_.empty()) return false;
-  out = heartbeat_pending_.front();
-  heartbeat_pending_.pop_front();
-  return true;
+  return pop_front(heartbeat_pending_, out);
 }
 
 }  // namespace idp::serve

@@ -1,25 +1,20 @@
 /// \file shard_transport.hpp
-/// The shard <-> coordinator message boundary: response envelopes, the
-/// transport interfaces the coordinator drains, and the perfect (lossless,
-/// in-order, zero-delay) defaults.
+/// The shard <-> coordinator message boundary: the message envelopes, the
+/// one transport interface the coordinator drives, and its perfect
+/// (lossless, in-order, zero-delay) implementation.
 ///
 /// The transport is where distribution faults live. A shard stamps every
 /// response with its origin shard and a per-shard send sequence; the
 /// coordinator's merger must reconstruct one deterministic global log from
-/// whatever arrival order the transport produces. Two fault models, two
-/// interfaces:
-///
-/// - ShardTransport (the PR 6 contract): *at-least-once, no-loss*
-///   delivery. Messages may be arbitrarily reordered, delayed and
-///   duplicated, but every sent envelope is eventually delivered at least
-///   once; ResultMerger::finish therefore treats a shortfall as an error.
-/// - ClusterTransport (the fault-tolerance contract): messages MAY BE
-///   LOST -- per-message drops, shard crash/restart windows, bidirectional
-///   partitions. The transport carries three message classes (work
-///   dispatches, responses, heartbeats) on one virtual clock, and the
-///   coordinator compensates with retry (serve/retry.hpp) and failover
-///   (serve/failure_detector.hpp) instead of throwing. The simulated
-///   network under tests/netsim/ injects all of those faults from a seed.
+/// whatever arrival order the transport produces. One fault model, one
+/// interface: ClusterTransport carries three message classes (work
+/// dispatches, responses, heartbeats) on one virtual clock, and any
+/// message MAY be reordered, delayed, duplicated or LOST -- per-message
+/// drops, shard crash/restart windows, bidirectional partitions. The
+/// coordinator compensates with retry (serve/retry.hpp), failover
+/// (serve/failure_detector.hpp) and request-id dedup instead of throwing.
+/// The simulated network under tests/netsim/ injects all of those faults
+/// from a seed; DirectClusterTransport injects none.
 #pragma once
 
 #include <cstdint>
@@ -36,42 +31,6 @@ struct ResponseEnvelope {
   Response response;
 };
 
-/// Message channel between the shards and the coordinator. Single-threaded
-/// use: the deterministic replay path sends and drains from one thread
-/// (live mode bypasses the transport and fans into a locked sink instead).
-class ShardTransport {
- public:
-  virtual ~ShardTransport() = default;
-
-  /// Accept one envelope for (eventual) delivery.
-  virtual void send(ResponseEnvelope envelope) = 0;
-
-  /// Deliver the next pending envelope; false when nothing is pending.
-  virtual bool poll(ResponseEnvelope& out) = 0;
-
-  /// Envelopes accepted by send().
-  virtual std::uint64_t sent() const = 0;
-
-  /// Envelopes handed out by poll() (>= sent() when duplicates exist).
-  virtual std::uint64_t delivered() const = 0;
-};
-
-/// The ideal network: FIFO, lossless, no duplication. The sharded replay
-/// under this transport is the reference the fault-injecting simulated
-/// network is compared against.
-class DirectTransport final : public ShardTransport {
- public:
-  void send(ResponseEnvelope envelope) override;
-  bool poll(ResponseEnvelope& out) override;
-  std::uint64_t sent() const override { return sent_; }
-  std::uint64_t delivered() const override { return delivered_; }
-
- private:
-  std::deque<ResponseEnvelope> pending_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-};
-
 /// Coordinator -> shard work dispatch (initial assignment or retransmit).
 struct WorkEnvelope {
   std::size_t shard = 0;     ///< destination shard
@@ -84,18 +43,32 @@ struct HeartbeatEnvelope {
   std::uint64_t sent_tick = 0;
 };
 
-/// Virtual-clock transport between the coordinator and its shards for the
-/// fault-tolerant replay path. Carries work dispatches (coordinator ->
-/// shard), responses (shard -> coordinator, via the inherited send/poll
-/// vocabulary) and heartbeats (shard -> coordinator). Unlike the base
-/// ShardTransport contract, any message may be lost.
+/// Virtual-clock transport between the coordinator and its shards. Carries
+/// work dispatches (coordinator -> shard), responses (shard ->
+/// coordinator) and heartbeats (shard -> coordinator); any message may be
+/// lost. Single-threaded use: the replay loop sends and drains from one
+/// thread (live mode bypasses the transport and fans into a locked sink).
 ///
 /// Clock discipline: every send of any message class advances the virtual
 /// clock by one tick; advance() passes idle ticks. Delayed messages mature
 /// -- become pollable -- only once the clock reaches their delivery tick,
 /// which is what makes retry deadlines meaningful.
-class ClusterTransport : public ShardTransport {
+class ClusterTransport {
  public:
+  virtual ~ClusterTransport() = default;
+
+  /// Shard -> coordinator: accept one response for (possible) delivery.
+  virtual void send(ResponseEnvelope envelope) = 0;
+
+  /// Next matured response arrival; false when none has matured yet.
+  virtual bool poll(ResponseEnvelope& out) = 0;
+
+  /// Responses accepted by send().
+  virtual std::uint64_t sent() const = 0;
+
+  /// Responses handed out by poll() (duplicates included).
+  virtual std::uint64_t delivered() const = 0;
+
   /// Current virtual tick.
   virtual std::uint64_t now() const = 0;
 
@@ -114,11 +87,6 @@ class ClusterTransport : public ShardTransport {
   /// Next matured heartbeat arrival.
   virtual bool poll_heartbeat(HeartbeatEnvelope& out) = 0;
 
-  /// Next matured response arrival. Unlike poll() -- which drains the
-  /// backlog regardless of delivery tick for the lossless replay path --
-  /// this respects the virtual clock.
-  virtual bool poll_ready(ResponseEnvelope& out) = 0;
-
   /// Whether `shard` is executing at the current tick (its crash/restart
   /// schedule). This is *shard-side* knowledge: the cluster's shard
   /// simulation consults it to decide whether work executes and
@@ -131,9 +99,9 @@ class ClusterTransport : public ShardTransport {
 };
 
 /// The ideal cluster transport: FIFO, lossless, zero-delay, no crashes,
-/// no partitions. The fault-tolerant replay over this transport is the
-/// reference the hostile simulated network is compared against, and the
-/// default when no transport is supplied.
+/// no partitions. Replay over this transport is the reference the hostile
+/// simulated network is compared against, and the default when no
+/// transport is supplied.
 class DirectClusterTransport final : public ClusterTransport {
  public:
   void send(ResponseEnvelope envelope) override;
@@ -147,7 +115,6 @@ class DirectClusterTransport final : public ClusterTransport {
   bool poll_work(WorkEnvelope& out) override;
   void send_heartbeat(HeartbeatEnvelope heartbeat) override;
   bool poll_heartbeat(HeartbeatEnvelope& out) override;
-  bool poll_ready(ResponseEnvelope& out) override { return poll(out); }
   bool shard_up(std::size_t) const override { return true; }
   std::uint64_t dropped() const override { return 0; }
 

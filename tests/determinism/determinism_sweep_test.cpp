@@ -5,8 +5,8 @@
 /// degradation + adaptive recalibration active), the diagnostics
 /// service (a replayed mixed request log with degradation + scheduled
 /// recalibration epochs), the 2-shard cluster replay merged across the
-/// fault-injecting simulated network, the fault-tolerant replay
-/// recovering from loss/crash/partition schedules via retry + failover,
+/// fault-injecting simulated network, the same replay recovering from
+/// loss/crash/partition schedules via retry + failover,
 /// the observability surfaces themselves (the canonical trace and
 /// the metrics snapshot of a replayed log), the batched-SoA panel
 /// scan at lane widths {1, 2, 4, auto}, the live telemetry stream
@@ -319,8 +319,8 @@ std::uint64_t sharded_digest(std::uint64_t seed, std::size_t parallelism) {
 
 std::uint64_t faulted_digest(std::uint64_t seed, std::size_t parallelism) {
   // The fault-tolerance acceptance criterion: the sharded workload again,
-  // but through the *lossy* replay path -- drops, a shard crash window
-  // and a partition in the schedule -- recovered by retry + failover. The
+  // but under a *lossy* fault profile -- drops, a shard crash window and
+  // a partition in the schedule -- recovered by retry + failover. The
   // fault schedule's seed varies with the parallelism level, so digest
   // equality across levels ALSO proves the merged log is invariant to
   // loss, crash and partition schedules -- not just to thread scheduling.
@@ -367,7 +367,7 @@ std::uint64_t faulted_digest(std::uint64_t seed, std::size_t parallelism) {
   test::SimNetTransport transport(net);
 
   const std::vector<serve::Response> responses =
-      cluster.replay_fault_tolerant(log, parallelism, &transport).responses;
+      cluster.replay(log, parallelism, &transport).responses;
   test::BitDigest d;
   test::fold(d, std::span<const serve::Response>(responses));
   return d.value();

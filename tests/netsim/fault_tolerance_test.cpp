@@ -2,7 +2,7 @@
 /// The fault-tolerance acceptance drill: one recorded mixed traffic log
 /// replayed through a K-shard cluster over a *hostile* simulated network
 /// -- per-message drops, a shard crash/restart window, a bidirectional
-/// partition, plus the PR 6 reorder/delay/duplication -- must merge into
+/// partition, plus reorder/delay/duplication -- must merge into
 /// a global log *bitwise identical* to fault-free single-node execution,
 /// across K in {1, 2, 4}, five seeds and parallelism {1, 2, hardware}.
 /// The retry/failover machinery must demonstrably have worked (drops,
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "common/determinism.hpp"
 #include "netsim/sim_network.hpp"
+#include "obs/trace.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/shard_coordinator.hpp"
 #include "serve/traffic.hpp"
@@ -130,8 +132,8 @@ TEST_P(FaultTolerantReplay, MergedLogSurvivesLossCrashAndPartitionBitwise) {
       test::SimNetTransport transport(
           hostile_net(seed * 1000 + shards * 10 + parallelism, crash_shard,
                       (crash_shard + 1) % shards));
-      const serve::FaultTolerantReplayResult result =
-          cluster.replay_fault_tolerant(log, parallelism, &transport);
+      const serve::ShardedReplayResult result =
+          cluster.replay(log, parallelism, &transport);
 
       EXPECT_EQ(digest_responses(result.responses), baseline)
           << "K=" << shards << " seed=" << seed
@@ -216,10 +218,10 @@ TEST(FaultTolerantReplay, FaultHistoryIsAPureFunctionOfTheSeed) {
         cluster.route(traffic_log()[0].session);
     test::SimNetTransport transport(
         hostile_net(seed, crash_shard, (crash_shard + 1) % 2));
-    return cluster.replay_fault_tolerant(traffic_log(), 1, &transport);
+    return cluster.replay(traffic_log(), 1, &transport);
   };
-  const serve::FaultTolerantReplayResult a = run(77);
-  const serve::FaultTolerantReplayResult b = run(77);
+  const serve::ShardedReplayResult a = run(77);
+  const serve::ShardedReplayResult b = run(77);
   EXPECT_EQ(digest_responses(a.responses), digest_responses(b.responses));
   EXPECT_EQ(a.executed_by, b.executed_by);
   EXPECT_EQ(a.faults.dispatches, b.faults.dispatches);
@@ -237,7 +239,7 @@ TEST(FaultTolerantReplay, FaultHistoryIsAPureFunctionOfTheSeed) {
 
   // And a different seed must produce a different history (the injection
   // is not vacuous).
-  const serve::FaultTolerantReplayResult c = run(78);
+  const serve::ShardedReplayResult c = run(78);
   EXPECT_EQ(digest_responses(a.responses), digest_responses(c.responses))
       << "output must be seed-independent even though the history is not";
   EXPECT_NE(a.faults.final_tick + a.faults.dispatches +
@@ -246,23 +248,57 @@ TEST(FaultTolerantReplay, FaultHistoryIsAPureFunctionOfTheSeed) {
                 c.faults.messages_dropped);
 }
 
-TEST(FaultTolerantReplay, PerfectTransportDegeneratesToThePlainReplay) {
+TEST(FaultTolerantReplay, TraceAccountsForEveryRecoveryAction) {
+  // One kShardRoute and one kMerge span per request, and one span per
+  // retry, reroute, failover and rejoin the fault counters report.
   serve::ShardClusterConfig config;
   config.router.shards = 2;
-  serve::ShardCluster plain(shared_store(), service_config(5), config);
-  const std::uint64_t expected =
-      digest_responses(plain.replay(traffic_log(), 1).responses);
+  serve::ShardCluster cluster(shared_store(), service_config(8), config);
+  obs::TraceRecorder trace;
+  cluster.set_trace(&trace);
+  const std::size_t crash_shard = cluster.route(traffic_log()[0].session);
+  test::SimNetTransport transport(
+      hostile_net(81, crash_shard, (crash_shard + 1) % 2));
+  const serve::ShardedReplayResult result =
+      cluster.replay(traffic_log(), 1, &transport);
 
+  std::array<std::uint64_t, obs::kSpanKindCount> spans{};
+  for (const obs::TraceEvent& event : trace.sorted()) {
+    ++spans[static_cast<std::size_t>(event.kind)];
+  }
+  const auto count = [&](obs::SpanKind kind) {
+    return spans[static_cast<std::size_t>(kind)];
+  };
+  EXPECT_EQ(count(obs::SpanKind::kShardRoute), traffic_log().size());
+  EXPECT_EQ(count(obs::SpanKind::kMerge), traffic_log().size());
+  EXPECT_EQ(count(obs::SpanKind::kRetry), result.faults.retries);
+  EXPECT_EQ(count(obs::SpanKind::kReroute), result.faults.reroutes);
+  EXPECT_EQ(count(obs::SpanKind::kFailover), result.faults.shard_failovers);
+  EXPECT_EQ(count(obs::SpanKind::kRejoin), result.faults.shard_rejoins);
+  EXPECT_GT(result.faults.shard_failovers, 0u);
+  EXPECT_GT(result.faults.shard_rejoins, 0u);
+}
+
+TEST(FaultTolerantReplay, PerfectTransportDegeneratesToThePlainReplay) {
+  // The default (nullptr) transport is the perfect DirectClusterTransport:
+  // the replay must equal single-node execution with no recovery work at
+  // all -- one dispatch and one execution per request, nothing retried,
+  // rerouted, lost, duplicated or reordered.
+  serve::ShardClusterConfig config;
+  config.router.shards = 2;
   serve::ShardCluster cluster(shared_store(), service_config(5), config);
-  const serve::FaultTolerantReplayResult result =
-      cluster.replay_fault_tolerant(traffic_log(), 1);
-  EXPECT_EQ(digest_responses(result.responses), expected);
+  const serve::ShardedReplayResult result = cluster.replay(traffic_log(), 1);
+  EXPECT_EQ(digest_responses(result.responses), single_node_digest(5));
   EXPECT_EQ(result.faults.retries, 0u);
   EXPECT_EQ(result.faults.reroutes, 0u);
   EXPECT_EQ(result.faults.messages_dropped, 0u);
+  EXPECT_EQ(result.faults.work_discarded, 0u);
   EXPECT_EQ(result.faults.shard_failovers, 0u);
   EXPECT_EQ(result.faults.dispatches, traffic_log().size());
   EXPECT_EQ(result.faults.executions, traffic_log().size());
+  EXPECT_EQ(result.merge.delivered, traffic_log().size());
+  EXPECT_EQ(result.merge.duplicates_seen, 0u);
+  EXPECT_EQ(result.merge.max_reorder_distance, 0u);
   for (std::size_t i = 0; i < traffic_log().size(); ++i) {
     EXPECT_EQ(result.executed_by[i],
               cluster.route(traffic_log()[i].session));
@@ -282,7 +318,7 @@ TEST(FaultTolerantReplay, StarvationHitsTheVirtualTimeCeilingLoudly) {
   serve::FaultToleranceConfig fault_config;
   fault_config.max_ticks = 2'000;
   fault_config.retry.max_attempts = 1'000'000;  // budget must not fire first
-  EXPECT_THROW(cluster.replay_fault_tolerant(traffic_log(), 1, &transport,
+  EXPECT_THROW(cluster.replay(traffic_log(), 1, &transport,
                                              fault_config),
                util::Error);
 }
@@ -298,7 +334,7 @@ TEST(FaultTolerantReplay, ExhaustedRetryBudgetFailsLoudly) {
   fault_config.retry.max_attempts = 3;
   fault_config.retry.response_timeout_ticks = 8;
   fault_config.retry.max_backoff_ticks = 16;
-  EXPECT_THROW(cluster.replay_fault_tolerant(traffic_log(), 1, &transport,
+  EXPECT_THROW(cluster.replay(traffic_log(), 1, &transport,
                                              fault_config),
                util::Error);
 }

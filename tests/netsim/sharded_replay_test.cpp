@@ -8,8 +8,9 @@
 /// K in {1, 2, 4}, five seeds and parallelism {1, 2, hardware}. A CYP
 /// panel log, whose CV reads step in lockstep lanes across the requests of
 /// each shard, must match sequential execute() -- responses and stream
-/// frame bytes -- through both K=2 replay paths, the fault-tolerant one
-/// under loss, crash and partition. Routing, lease-subdomain disjointness
+/// frame bytes -- through K=2 replays under a reorder/duplication profile
+/// and under loss, crash and partition. A log with a repeated request id
+/// fails before anything executes. Routing, lease-subdomain disjointness
 /// and consistent-hash stability ride along.
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "serve/scheduler.hpp"
 #include "serve/shard_coordinator.hpp"
 #include "serve/traffic.hpp"
+#include "util/error.hpp"
 
 namespace idp {
 namespace {
@@ -120,8 +122,8 @@ TEST_P(ShardedReplay, MergedLogIsBitwiseIdenticalToSingleNodeUnderFaults) {
       serve::ShardCluster cluster(shared_store(), service_config(seed),
                                   cluster_config);
 
-      // The fault schedule varies with every sweep point; the merged log
-      // must not.
+      // The reorder/duplication fault profile varies with every sweep
+      // point; the merged log must not.
       test::SimNetConfig net;
       net.seed = seed * 1000 + shards * 10 + parallelism;
       net.max_delay_ticks = 32;
@@ -240,6 +242,29 @@ TEST(ShardRouter, ValidatesConfiguration) {
   EXPECT_THROW(
       serve::ShardRouter(serve::ShardRouterConfig{.shards = 1, .vnodes = 0}),
       std::invalid_argument);
+}
+
+TEST(ShardCluster, DuplicateRequestIdsFailBeforeAnythingExecutes) {
+  // A repeated id would lease one run-id block twice and merge into a
+  // short log; the replay must refuse the log up front instead of
+  // executing all of it and blaming the transport.
+  serve::ShardClusterConfig config;
+  config.router.shards = 2;
+  serve::ShardCluster cluster(shared_store(), service_config(1), config);
+  obs::TraceRecorder trace;
+  cluster.set_trace(&trace);
+  std::vector<serve::Request> log = traffic_log();
+  log.back().id = log.front().id;
+  try {
+    (void)cluster.replay(log, 1);
+    ADD_FAILURE() << "a log with a repeated request id replayed";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("request ids in a log must be unique"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(trace.size(), 0u) << "the replay executed before refusing";
 }
 
 TEST(ResultMerger, DetectsLossLoudly) {
@@ -373,7 +398,7 @@ std::shared_ptr<obs::TelemetrySubscriber> subscribe_all(obs::TelemetryBus& bus) 
 }
 
 /// The reference: sequential execute() in log order, each capture
-/// published as it completes -- opened with the kShardRoute span the plain
+/// published as it completes -- opened with the kShardRoute span the
 /// cluster replay streams when `router` is given.
 RunDigest sequential_execute(std::uint64_t seed,
                              std::span<const serve::Request> log,
@@ -411,7 +436,7 @@ TEST(CypPanelReplay, LaneBatchedShardReplaysMatchSequentialExecute) {
         }));
     EXPECT_GT(late_qc, 0u) << "no QC check past the first epoch boundary";
 
-    // Plain K=2 replay through a reordering, duplicating transport.
+    // K=2 replay through a reordering, duplicating transport.
     {
       serve::ShardCluster cluster(cyp_store(), cyp_service_config(seed),
                                   cluster_config);
@@ -434,7 +459,7 @@ TEST(CypPanelReplay, LaneBatchedShardReplaysMatchSequentialExecute) {
           << "K=2 replay diverged from sequential execute() at seed " << seed;
     }
 
-    // Fault-tolerant K=2 replay under loss, a shard crash and a partition.
+    // K=2 replay under loss, a shard crash and a partition.
     {
       serve::ShardCluster cluster(cyp_store(), cyp_service_config(seed),
                                   cluster_config);
@@ -453,16 +478,15 @@ TEST(CypPanelReplay, LaneBatchedShardReplaysMatchSequentialExecute) {
                          .from_tick = 350,
                          .until_tick = 520}};
       test::SimNetTransport transport(net);
-      const serve::FaultTolerantReplayResult result =
-          cluster.replay_fault_tolerant(log, 0, &transport);
+      const serve::ShardedReplayResult result =
+          cluster.replay(log, 0, &transport);
       bus.close();
       EXPECT_GT(result.faults.messages_dropped + result.faults.shard_failovers,
                 0u);
       EXPECT_EQ((RunDigest{digest_responses(result.responses),
                            frame_digest(*recorder)}),
-                sequential_execute(seed, log, nullptr))
-          << "fault-tolerant K=2 replay diverged from sequential execute() "
-             "at seed "
+                sequential_execute(seed, log, &cluster))
+          << "hostile K=2 replay diverged from sequential execute() at seed "
           << seed;
     }
   }

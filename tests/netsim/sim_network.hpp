@@ -2,10 +2,9 @@
 /// The simulated-network harness: a seeded virtual transport between the
 /// service shards and the coordinator that injects the distribution faults
 /// the merge contract must survive -- message reorder, bounded delay,
-/// duplication, and (for the fault-tolerant replay path) loss, shard
-/// crash/restart windows and bidirectional partitions -- deterministically
-/// per seed (FoundationDB-style deterministic-simulation testing, scaled
-/// to this repo's shard layer).
+/// duplication, loss, shard crash/restart windows and bidirectional
+/// partitions -- deterministically per seed (FoundationDB-style
+/// deterministic-simulation testing, scaled to this repo's shard layer).
 ///
 /// Fault model -- every message class (responses, work dispatches,
 /// heartbeats) passes the same pipeline at send time:
@@ -70,8 +69,8 @@ struct SimNetConfig {
   std::uint64_t max_delay_ticks = 32;
   /// Probability a message is delivered twice.
   double duplicate_prob = 0.10;
-  /// Probability a message is lost (requires the retrying fault-tolerant
-  /// replay path; the no-loss replay() contract would throw).
+  /// Probability a message is lost (any class; the replay's retry and
+  /// failover loop recovers it).
   double drop_prob = 0.0;
   /// Shard crash/restart schedule.
   std::vector<ShardOutageWindow> crashes;
@@ -80,10 +79,7 @@ struct SimNetConfig {
 };
 
 /// Seeded reorder/delay/duplication/loss/crash/partition transport for
-/// tests. Implements the full ClusterTransport vocabulary; the legacy
-/// ShardTransport subset (send/poll) keeps its original no-loss,
-/// drain-regardless-of-tick behaviour so the PR 6 replay path is
-/// untouched when drops and schedules are left empty.
+/// tests, implementing the full ClusterTransport vocabulary.
 class SimNetTransport final : public serve::ClusterTransport {
  public:
   explicit SimNetTransport(SimNetConfig config = {})
@@ -96,21 +92,13 @@ class SimNetTransport final : public serve::ClusterTransport {
     transmit(pending_, envelope.shard, std::move(envelope));
   }
 
-  /// Legacy drain: delivers the next pending response regardless of its
-  /// delivery tick (wire order still holds). The no-loss replay path
-  /// drains everything after the fact, so maturity gating would be noise.
+  /// Time-gated drain: only messages whose delivery tick has been reached.
   bool poll(serve::ResponseEnvelope& out) override {
-    if (pending_.empty()) return false;
+    if (!matured(pending_)) return false;
     out = std::move(pending_.begin()->second);
     pending_.erase(pending_.begin());
     ++delivered_;
     return true;
-  }
-
-  /// Time-gated drain: only messages whose delivery tick has been reached.
-  bool poll_ready(serve::ResponseEnvelope& out) override {
-    if (!matured(pending_)) return false;
-    return poll(out);
   }
 
   std::uint64_t sent() const override { return sent_; }

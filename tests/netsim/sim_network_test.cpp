@@ -2,8 +2,8 @@
 /// Properties of the simulated-network transport itself: seeded
 /// reproducibility, at-least-once no-loss delivery, genuine reorder within
 /// the bounded-delay envelope, duplication, and the degenerate
-/// configuration collapsing to FIFO. The perfect DirectTransport is pinned
-/// alongside as the reference behaviour.
+/// configuration collapsing to FIFO. The perfect DirectClusterTransport is
+/// pinned alongside as the reference behaviour.
 
 #include "netsim/sim_network.hpp"
 
@@ -26,19 +26,25 @@ serve::ResponseEnvelope envelope(std::uint64_t id, std::size_t shard = 0) {
   return e;
 }
 
-/// Drain a transport into the delivered request-id sequence.
-std::vector<std::uint64_t> drain(serve::ShardTransport& transport) {
+/// Drain a transport into the delivered request-id sequence, letting
+/// virtual time run for `horizon` ticks past the last send so every
+/// delayed message matures.
+std::vector<std::uint64_t> drain(serve::ClusterTransport& transport,
+                                 std::uint64_t horizon) {
   std::vector<std::uint64_t> ids;
   serve::ResponseEnvelope e;
-  while (transport.poll(e)) ids.push_back(e.response.request_id);
+  for (std::uint64_t tick = 0; tick <= horizon; ++tick) {
+    while (transport.poll(e)) ids.push_back(e.response.request_id);
+    transport.advance(1);
+  }
   return ids;
 }
 
-TEST(DirectTransport, IsFifoAndLossless) {
-  serve::DirectTransport transport;
+TEST(DirectClusterTransport, IsFifoAndLossless) {
+  serve::DirectClusterTransport transport;
   for (std::uint64_t i = 0; i < 100; ++i) transport.send(envelope(i));
   EXPECT_EQ(transport.sent(), 100u);
-  const std::vector<std::uint64_t> ids = drain(transport);
+  const std::vector<std::uint64_t> ids = drain(transport, 0);
   ASSERT_EQ(ids.size(), 100u);
   for (std::uint64_t i = 0; i < 100; ++i) EXPECT_EQ(ids[i], i);
   EXPECT_EQ(transport.delivered(), 100u);
@@ -54,7 +60,7 @@ TEST(SimNet, DeliverySequenceIsAPureFunctionOfTheSeed) {
     config.duplicate_prob = 0.2;
     test::SimNetTransport transport(config);
     for (std::uint64_t i = 0; i < 200; ++i) transport.send(envelope(i));
-    return drain(transport);
+    return drain(transport, config.max_delay_ticks);
   };
   EXPECT_EQ(run(7), run(7)) << "same seed must replay the same wire order";
   EXPECT_NE(run(7), run(8)) << "the fault schedule ignores its seed";
@@ -69,7 +75,8 @@ TEST(SimNet, DeliversEveryMessageAtLeastOnceAndCountsDuplicates) {
   constexpr std::uint64_t kMessages = 400;
   for (std::uint64_t i = 0; i < kMessages; ++i) transport.send(envelope(i));
 
-  const std::vector<std::uint64_t> ids = drain(transport);
+  const std::vector<std::uint64_t> ids =
+      drain(transport, config.max_delay_ticks);
   const std::set<std::uint64_t> unique(ids.begin(), ids.end());
   EXPECT_EQ(unique.size(), kMessages) << "no message may be lost";
   EXPECT_EQ(ids.size(), kMessages + transport.duplicated());
@@ -87,7 +94,8 @@ TEST(SimNet, ReordersWithinTheBoundedDelayEnvelope) {
   constexpr std::uint64_t kMessages = 300;
   for (std::uint64_t i = 0; i < kMessages; ++i) transport.send(envelope(i));
 
-  const std::vector<std::uint64_t> ids = drain(transport);
+  const std::vector<std::uint64_t> ids =
+      drain(transport, config.max_delay_ticks);
   ASSERT_EQ(ids.size(), kMessages);
   std::size_t inversions = 0;
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -112,7 +120,8 @@ TEST(SimNet, ZeroDelayZeroDuplicationCollapsesToFifo) {
   config.duplicate_prob = 0.0;
   test::SimNetTransport transport(config);
   for (std::uint64_t i = 0; i < 50; ++i) transport.send(envelope(i));
-  const std::vector<std::uint64_t> ids = drain(transport);
+  const std::vector<std::uint64_t> ids =
+      drain(transport, config.max_delay_ticks);
   ASSERT_EQ(ids.size(), 50u);
   for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(ids[i], i);
 }
@@ -127,7 +136,8 @@ TEST(SimNet, DropAccountingIsExactAndSeedPure) {
     test::SimNetTransport transport(config);
     constexpr std::uint64_t kMessages = 400;
     for (std::uint64_t i = 0; i < kMessages; ++i) transport.send(envelope(i));
-    const std::vector<std::uint64_t> ids = drain(transport);
+    const std::vector<std::uint64_t> ids =
+        drain(transport, config.max_delay_ticks);
     // Every send is accounted for exactly once: delivered as the
     // original, delivered again as a duplicate, or counted dropped.
     EXPECT_EQ(ids.size(),
@@ -176,9 +186,9 @@ TEST(SimNet, PartitionCutsBothDirectionsOfOneLink) {
   EXPECT_EQ(transport.dropped(), 3u);
 
   serve::ResponseEnvelope response;
-  ASSERT_TRUE(transport.poll_ready(response));
+  ASSERT_TRUE(transport.poll(response));
   EXPECT_EQ(response.shard, 1u);
-  EXPECT_FALSE(transport.poll_ready(response));
+  EXPECT_FALSE(transport.poll(response));
   serve::WorkEnvelope work;
   ASSERT_TRUE(transport.poll_work(work));
   EXPECT_EQ(work.work_id, 2u);

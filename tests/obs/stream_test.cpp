@@ -561,8 +561,8 @@ TEST(TelemetryStreaming, ClusterFramesAreInvariantToTheFaultSchedule) {
     net.duplicate_prob = 0.10;
     net.drop_prob = 0.05;
     test::SimNetTransport transport(net);
-    const serve::FaultTolerantReplayResult result =
-        cluster.replay_fault_tolerant(streamed_log(), 2, &transport);
+    const serve::ShardedReplayResult result =
+        cluster.replay(streamed_log(), 2, &transport);
     bus.close();
     EXPECT_EQ(result.responses.size(), streamed_log().size());
     return drain_bytes(*recorder);

@@ -117,9 +117,9 @@ ConcurrentRunResult run_concurrent(std::uint64_t seed, std::size_t producers,
 
   result.accepted = accepted.load();
   result.rejected_full = rejected_full.load();
-  EXPECT_EQ(queue.accepted(), result.accepted)
+  EXPECT_EQ(queue.stats().accepted, result.accepted)
       << "queue admission counter disagrees with the producers' account";
-  EXPECT_EQ(queue.rejected(), result.rejected_full);
+  EXPECT_EQ(queue.stats().rejected_full, result.rejected_full);
   EXPECT_EQ(queue.depth(), 0u) << "close() left requests stranded";
   return result;
 }
@@ -208,8 +208,8 @@ TEST(RequestQueueProperty, StatReserveAdmitsStatWhenRoutineIsShutOut) {
             Admission::kRejectedFull)
       << "the reserve is not a capacity extension";
   EXPECT_EQ(queue.depth(), 8u);
-  EXPECT_EQ(queue.accepted(), 8u);
-  EXPECT_EQ(queue.rejected(), 3u);
+  EXPECT_EQ(queue.stats().accepted, 8u);
+  EXPECT_EQ(queue.stats().rejected_full, 3u);
   // Popping one slot readmits stat immediately; routine still needs the
   // shared portion to fall below 6.
   QueuedRequest q;

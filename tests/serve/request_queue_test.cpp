@@ -46,8 +46,8 @@ TEST(RequestQueue, FullQueueRejectsExplicitly) {
   EXPECT_EQ(queue.try_push(make_request(2, Priority::kRoutine)),
             Admission::kRejectedFull);
   EXPECT_EQ(queue.depth(), 2u);
-  EXPECT_EQ(queue.accepted(), 2u);
-  EXPECT_EQ(queue.rejected(), 1u);
+  EXPECT_EQ(queue.stats().accepted, 2u);
+  EXPECT_EQ(queue.stats().rejected_full, 1u);
   EXPECT_EQ(queue.high_water(), 2u);
   // Nothing was dropped: exactly the two accepted requests come back out.
   QueuedRequest out;
@@ -155,7 +155,7 @@ TEST(RequestQueue, PushWaitForTimesOutOnAFullQueue) {
             Admission::kRejectedTimeout);
   EXPECT_GE(std::chrono::steady_clock::now() - before,
             std::chrono::milliseconds(20));
-  EXPECT_EQ(queue.timed_out(), 1u);
+  EXPECT_EQ(queue.stats().timed_out, 1u);
   EXPECT_EQ(queue.depth(), 1u) << "a timed-out push must leave nothing behind";
 }
 
@@ -176,7 +176,7 @@ TEST(RequestQueue, PushWaitForAdmitsWhenAPopFreesSpaceInTime) {
   ASSERT_TRUE(queue.pop(out));  // frees the slot; the waiter must wake
   pusher.join();
   EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(queue.timed_out(), 0u);
+  EXPECT_EQ(queue.stats().timed_out, 0u);
   ASSERT_TRUE(queue.pop(out));
   EXPECT_EQ(out.request.id, 1u);
 }
@@ -197,7 +197,7 @@ TEST(RequestQueue, PushWaitForWakesAsRejectedClosedOnClose) {
   queue.close();
   pusher.join();
   EXPECT_TRUE(done.load());
-  EXPECT_EQ(queue.timed_out(), 0u);
+  EXPECT_EQ(queue.stats().timed_out, 0u);
 }
 
 TEST(RequestQueue, ShedWatermarksMustBeOrderedAndFitUsableCapacity) {
@@ -263,7 +263,7 @@ TEST(RequestQueue, OverloadShedsBatchFirstThenRoutineNeverStat) {
   EXPECT_EQ(stats.timed_out, 0u);
   EXPECT_EQ(stats.depth, 8u);
   EXPECT_EQ(stats.high_water, 8u);
-  EXPECT_EQ(queue.shed(), 4u);
+  EXPECT_EQ(queue.stats().shed, 4u);
 }
 
 TEST(RequestQueueStats, MergeAggregatesAcrossShards) {
