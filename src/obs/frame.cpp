@@ -5,6 +5,7 @@
 #include "obs/frame.hpp"
 
 #include <bit>
+#include <cmath>
 #include <limits>
 
 #include "util/error.hpp"
@@ -103,6 +104,17 @@ MetricType metric_type_of(std::uint8_t raw) {
     throw util::Error("unknown metric type byte in telemetry frame");
   }
   return static_cast<MetricType>(raw);
+}
+
+/// Counters travel as doubles but count in u64: a counter value must be a
+/// finite, non-negative integer below 2^64, or converting it back is
+/// undefined. Rejected here so no consumer ever casts a hostile value.
+double checked_value(MetricType type, double value) {
+  if (type == MetricType::kCounter &&
+      !(value >= 0.0 && value < 0x1p64 && std::trunc(value) == value)) {
+    throw util::Error("counter value in telemetry frame is not a u64 count");
+  }
+  return value;
 }
 
 void put_labels(std::vector<std::uint8_t>& out, const MetricLabels& labels) {
@@ -256,7 +268,7 @@ MetricDeltaPayload decode_metric_delta(std::span<const std::uint8_t> payload) {
   p.type = metric_type_of(r.u8("metric type"));
   p.name = r.str("metric name");
   p.labels = read_labels(r);
-  p.value = r.f64("value");
+  p.value = checked_value(p.type, r.f64("value"));
   util::ensure(r.done(), "trailing bytes after metric-delta payload");
   return p;
 }
@@ -268,7 +280,7 @@ MetricSnapshotPayload decode_metric_snapshot(
   p.type = metric_type_of(r.u8("metric type"));
   p.name = r.str("metric name");
   p.labels = read_labels(r);
-  p.value = r.f64("value");
+  p.value = checked_value(p.type, r.f64("value"));
   p.latency.count = r.u64("latency count");
   p.latency.min = r.f64("latency min");
   p.latency.max = r.f64("latency max");

@@ -17,8 +17,9 @@
 /// bitwise-equal fields encode to identical bytes on every platform, which
 /// is what lets the determinism sweep digest published frame *bytes* and
 /// the golden tests pin them. Decoding is loud: a truncated buffer, a
-/// length that overruns it, or an unknown frame type throws util::Error
-/// rather than yielding a best-effort frame.
+/// length that overruns it, an unknown type byte or a counter value that
+/// is not a u64 count throws util::Error rather than yielding a
+/// best-effort frame.
 ///
 /// Topic naming scheme (full table in docs/ARCHITECTURE.md):
 ///   trace/tenant=<T>               request-scoped spans of tenant T

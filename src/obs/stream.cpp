@@ -1,11 +1,13 @@
 /// \file stream.cpp
 /// Telemetry bus implementation: bounded subscriber queues with explicit
-/// admission, serialised publish with per-topic sequencing, capture
-/// publish+fold, the replay reorder buffer and the live aggregator.
+/// admission, serialised publish with per-topic sequencing, the capture
+/// commit, the replay reorder buffer and the live aggregator.
 
 #include "obs/stream.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/error.hpp"
@@ -274,59 +276,45 @@ void TelemetryBus::publish_metrics(MetricsRegistry& registry) const {
 
 // --- TelemetryStream --------------------------------------------------------
 
-void TelemetryStream::publish(const TelemetryCapture& capture) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // Spans stream in the capture's canonical order (sorted, exact
+void TelemetryStream::commit(const TelemetryCapture& capture) const {
+  // Spans commit in the capture's canonical order (sorted, exact
   // duplicates collapsed -- TraceRecorder::sorted() semantics), so frame
   // content and order are pure functions of the request -- never of
   // recording order.
   std::vector<TraceEvent> spans = capture.spans;
   std::sort(spans.begin(), spans.end(), trace_event_less);
   spans.erase(std::unique(spans.begin(), spans.end()), spans.end());
-  for (const TraceEvent& event : spans) {
-    TraceSpanPayload payload;
-    payload.tenant = capture.tenant;
-    payload.event = event;
-    bus_.publish(FrameType::kTraceSpan, span_topic(capture.tenant, event),
-                 encode(payload));
-  }
-  for (const MetricOp& op : capture.ops) {
-    MetricDeltaPayload payload;
-    payload.type = op.type;
-    payload.name = op.name;
-    payload.labels = op.labels;
-    payload.value = op.value;
-    bus_.publish(FrameType::kMetricDelta, metric_topic(op.name),
-                 encode(payload));
-  }
-  // Fold after publishing: the batch-era surfaces end bit-identical to the
-  // non-streaming path (spans re-record and dedup in sorted(); fold-marked
-  // ops apply exactly once -- non-fold ops were applied directly by their
-  // recorder, e.g. live-mode scheduler accounts).
-  if (trace_ != nullptr) {
-    for (const TraceEvent& event : spans) trace_->record(event);
-  }
-  if (metrics_ != nullptr) {
+  if (bus != nullptr) {
+    for (const TraceEvent& event : spans) {
+      TraceSpanPayload payload;
+      payload.tenant = capture.tenant;
+      payload.event = event;
+      bus->publish(FrameType::kTraceSpan, span_topic(capture.tenant, event),
+                   encode(payload));
+    }
     for (const MetricOp& op : capture.ops) {
-      if (op.fold) apply_op(*metrics_, op.type, op.name, op.labels, op.value);
+      MetricDeltaPayload payload;
+      payload.type = op.type;
+      payload.name = op.name;
+      payload.labels = op.labels;
+      payload.value = op.value;
+      bus->publish(FrameType::kMetricDelta, metric_topic(op.name),
+                   encode(payload));
+    }
+  }
+  if (trace != nullptr) {
+    for (const TraceEvent& event : spans) trace->record(event);
+  }
+  if (metrics != nullptr) {
+    for (const MetricOp& op : capture.ops) {
+      apply_op(*metrics, op.type, op.name, op.labels, op.value);
     }
   }
 }
 
-void TelemetryStream::publish_span(std::int32_t tenant,
-                                   const TraceEvent& event) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  TraceSpanPayload payload;
-  payload.tenant = tenant;
-  payload.event = event;
-  bus_.publish(FrameType::kTraceSpan, span_topic(tenant, event),
-               encode(payload));
-  if (trace_ != nullptr) trace_->record(event);
-}
-
 // --- StreamSequencer --------------------------------------------------------
 
-StreamSequencer::StreamSequencer(TelemetryStream& out, std::size_t count)
+StreamSequencer::StreamSequencer(TelemetryStream out, std::size_t count)
     : out_(out), slots_(count) {}
 
 void StreamSequencer::deposit(std::size_t index, TelemetryCapture capture) {
@@ -335,11 +323,11 @@ void StreamSequencer::deposit(std::size_t index, TelemetryCapture capture) {
   util::ensure(slots_[index] == nullptr && index >= frontier_,
                "sequencer slot deposited twice");
   slots_[index] = std::make_unique<TelemetryCapture>(std::move(capture));
-  // Flush the completed prefix in log order. Publishing under the lock is
+  // Flush the completed prefix in log order. Committing under the lock is
   // the point: the frontier advances through one serial order, so frame
   // sequences are independent of which worker deposited when.
   while (frontier_ < slots_.size() && slots_[frontier_] != nullptr) {
-    out_.publish(*slots_[frontier_]);
+    out_.commit(*slots_[frontier_]);
     slots_[frontier_].reset();
     ++frontier_;
   }
@@ -353,37 +341,44 @@ std::size_t StreamSequencer::published() const {
 // --- LiveAggregator ---------------------------------------------------------
 
 void LiveAggregator::consume(const Frame& frame) {
-  ++frames_consumed_;
-  switch (frame.type) {
-    case FrameType::kTraceSpan:
-      ++spans_seen_;
-      break;
-    case FrameType::kMetricDelta: {
-      const MetricDeltaPayload p = decode_metric_delta(frame.payload);
-      apply_op(registry_, p.type, p.name, p.labels, p.value);
-      break;
-    }
-    case FrameType::kMetricSnapshot: {
-      const MetricSnapshotPayload p = decode_metric_snapshot(frame.payload);
-      switch (p.type) {
-        case MetricType::kCounter:
-          registry_.counter(p.name, p.labels)
-              .set(static_cast<std::uint64_t>(p.value));
-          break;
-        case MetricType::kGauge:
-          registry_.gauge(p.name, p.labels).set(p.value);
-          break;
-        case MetricType::kHistogram:
-          // Register the series so it appears in snapshots, but bins are
-          // not on the wire: prior observations are unrecoverable, and the
-          // rebuild is approximate from here (mid-run join).
-          registry_.histogram(p.name, p.labels);
-          if (p.latency.count > 0) exact_ = false;
-          break;
+  try {
+    switch (frame.type) {
+      case FrameType::kTraceSpan:
+        ++spans_seen_;
+        break;
+      case FrameType::kMetricDelta: {
+        const MetricDeltaPayload p = decode_metric_delta(frame.payload);
+        apply_op(registry_, p.type, p.name, p.labels, p.value);
+        break;
       }
-      break;
+      case FrameType::kMetricSnapshot: {
+        const MetricSnapshotPayload p = decode_metric_snapshot(frame.payload);
+        switch (p.type) {
+          case MetricType::kCounter:
+            registry_.counter(p.name, p.labels)
+                .set(static_cast<std::uint64_t>(p.value));
+            break;
+          case MetricType::kGauge:
+            registry_.gauge(p.name, p.labels).set(p.value);
+            break;
+          case MetricType::kHistogram:
+            // Register the series so it appears in snapshots, but bins are
+            // not on the wire: prior observations are unrecoverable, and
+            // the rebuild is approximate from here (mid-run join).
+            registry_.histogram(p.name, p.labels);
+            if (p.latency.count > 0) exact_ = false;
+            break;
+        }
+        break;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    // The registry refuses to re-type a series. From the wire that is a
+    // malformed stream, not a caller mistake: fail like any bad frame.
+    throw util::Error(std::string("telemetry frame re-types a metric: ") +
+                      e.what());
   }
+  ++frames_consumed_;
 }
 
 void LiveAggregator::run(TelemetrySubscriber& subscriber) {

@@ -1,7 +1,8 @@
 /// \file stream.hpp
-/// The live telemetry streaming bus: pub/sub fan-out of traces and
-/// metrics while a run executes, turning the batch-only obs layer (PR 8:
-/// export after completion) into a live one.
+/// The telemetry sink and the live streaming bus: every instrumented site
+/// records one request's spans and metric ops into a TelemetryCapture,
+/// and one TelemetryStream commits that capture to whatever is attached
+/// -- a pub/sub bus, a TraceRecorder, a MetricsRegistry, any subset.
 ///
 /// Pieces:
 /// - TelemetryBus: topic-keyed publisher with bounded per-subscriber
@@ -11,13 +12,17 @@
 ///   silent. close() is permanent: publish-after-close throws, subscribers
 ///   drain every accepted frame, then pop() returns false.
 /// - TelemetryCapture: one request's telemetry (spans + metric ops),
-///   recorded off to the side during execution.
-/// - TelemetryStream: publishes one capture as frames (trace topics per
-///   (tenant, channel), one metric topic per family) and *then* folds it
-///   into the batch-era TraceRecorder / MetricsRegistry, so everything
-///   PR 8 exports is unchanged by streaming.
+///   recorded off to the side during execution. The only surface serve
+///   sites write to.
+/// - TelemetryStream: the sink. commit() canonicalises the capture's spans
+///   (sort + exact-duplicate collapse), publishes them and the ops as
+///   frames (trace topics per (tenant, channel), one metric topic per
+///   family), records the spans into the trace recorder and applies the
+///   ops to the registry -- each step only where that surface is
+///   attached. Every surface sees the same capture once, so the registry
+///   and a from-the-start LiveAggregator end equal.
 /// - StreamSequencer: reorder buffer for parallel replay -- captures
-///   deposit in completion order, publish in log order.
+///   deposit in completion order, commit in log order.
 /// - LiveAggregator: the canonical subscriber -- rebuilds a
 ///   MetricsRegistry (live p50/p90/p99 tiles) from snapshot + delta
 ///   frames.
@@ -29,7 +34,7 @@
 /// Two ingredients buy this under parallel replay:
 ///   1. every request's telemetry is captured privately (TelemetryCapture)
 ///      while it executes, so nothing observes the thread schedule;
-///   2. captures publish in log order (StreamSequencer), so per-topic
+///   2. captures commit in log order (StreamSequencer), so per-topic
 ///      sequence numbers are schedule-independent.
 /// Delta frames carry *raw* histogram observations (not summaries), so an
 /// aggregation subscriber that subscribed before traffic rebuilds
@@ -39,7 +44,7 @@
 /// histogram snapshots carry only the summary (bins are not on the wire),
 /// which LiveAggregator reports via exact().
 ///
-/// Live mode (scheduler workers) publishes in completion order -- wall
+/// Live mode (scheduler workers) commits in completion order -- wall
 /// clock is already in those frames, determinism is a replay property.
 #pragma once
 
@@ -198,25 +203,22 @@ class TelemetryBus {
   bool closed_ = false;
 };
 
-// --- capture / publish ------------------------------------------------------
+// --- capture / commit -------------------------------------------------------
 
-/// One deferred metric update. `fold` distinguishes ops the capture owner
-/// has NOT yet applied to the registry (service ops under capture mode;
-/// folded on publish) from ops already applied directly (scheduler
-/// live-mode accounts; streamed only).
+/// One deferred metric update: a counter increment, a gauge level or a
+/// histogram observation, applied when its capture commits.
 struct MetricOp {
   MetricType type = MetricType::kCounter;
   std::string name;
   MetricLabels labels;
   double value = 0.0;
-  bool fold = true;
 };
 
 /// One request's telemetry, recorded privately during execution so the
 /// published stream never observes the thread schedule (see file
 /// comment). Single-owner by construction (one request, one worker), so
 /// plain vectors -- spans canonicalise (sort + dedup, TraceRecorder
-/// semantics) at publish time.
+/// semantics) at commit time.
 struct TelemetryCapture {
   std::int32_t tenant = -1;
   std::vector<TraceEvent> spans;
@@ -232,59 +234,49 @@ struct TelemetryCapture {
   void count(const std::string& name, const MetricLabels& labels,
              std::uint64_t n = 1) {
     ops.push_back({MetricType::kCounter, name, labels,
-                   static_cast<double>(n), true});
+                   static_cast<double>(n)});
   }
   void observe(const std::string& name, const MetricLabels& labels,
-               double value, bool fold = true) {
-    ops.push_back({MetricType::kHistogram, name, labels, value, fold});
+               double value) {
+    ops.push_back({MetricType::kHistogram, name, labels, value});
   }
-  bool empty() const { return spans.empty() && ops.empty(); }
 };
 
-/// Publishes captures as frames and folds them into the batch surfaces.
-/// Span -> topic: channel-scoped kinds (kExecution, kRecalibration,
-/// kEpochSwap) go to trace/tenant=T/channel=<entity>; everything else to
-/// the request-scoped trace/tenant=T. Ops -> metrics/<name>. Thread-safe
-/// (captures publish atomically, one at a time).
-class TelemetryStream {
- public:
-  /// `trace` / `metrics` (either may be null) receive the fold: spans
-  /// re-record (idempotent duplicates collapse in sorted()), fold-marked
-  /// ops apply (counter add / gauge set / histogram observe), so the end
-  /// state equals the non-streaming path bit for bit.
-  TelemetryStream(TelemetryBus& bus, TraceRecorder* trace,
-                  MetricsRegistry* metrics)
-      : bus_(bus), trace_(trace), metrics_(metrics) {}
+/// The one telemetry sink: a nullable bus, trace recorder and registry
+/// (null = that surface is off). commit() is the only way telemetry
+/// reaches any of them. Span -> topic: channel-scoped kinds (kExecution,
+/// kRecalibration, kEpochSwap) go to trace/tenant=T/channel=<entity>;
+/// everything else to the request-scoped trace/tenant=T. Ops ->
+/// metrics/<name>. A plain value over thread-safe surfaces: concurrent
+/// commits are safe, and their frames may interleave on the bus (live
+/// mode); replay serialises commits through a StreamSequencer.
+struct TelemetryStream {
+  TelemetryBus* bus = nullptr;
+  TraceRecorder* trace = nullptr;
+  MetricsRegistry* metrics = nullptr;
 
-  /// Publish one capture's frames, then fold it.
-  void publish(const TelemetryCapture& capture);
-
-  /// Publish one already-folded span (live-mode admission events).
-  void publish_span(std::int32_t tenant, const TraceEvent& event);
-
- private:
-  std::mutex mutex_;
-  TelemetryBus& bus_;
-  TraceRecorder* trace_;
-  MetricsRegistry* metrics_;
+  /// Canonicalise the capture's spans, publish spans then ops as frames,
+  /// record the spans, apply the ops (counter add / gauge set / histogram
+  /// observe) -- each into its surface when attached.
+  void commit(const TelemetryCapture& capture) const;
 };
 
 /// Reorder buffer of parallel replay: deposit(log_index, capture) from any
-/// worker; captures publish strictly in log-index order, each at the
+/// worker; captures commit strictly in log-index order, each at the
 /// moment its prefix completes. After every index deposited, everything
-/// has published (the depositing worker that completed the prefix flushed
+/// has committed (the depositing worker that completed the prefix flushed
 /// it synchronously).
 class StreamSequencer {
  public:
-  StreamSequencer(TelemetryStream& out, std::size_t count);
+  StreamSequencer(TelemetryStream out, std::size_t count);
 
   void deposit(std::size_t index, TelemetryCapture capture);
 
-  /// Captures published so far (== count when done).
+  /// Captures committed so far (== count when done).
   std::size_t published() const;
 
  private:
-  TelemetryStream& out_;
+  TelemetryStream out_;
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<TelemetryCapture>> slots_;
   std::size_t frontier_ = 0;
@@ -298,7 +290,9 @@ class StreamSequencer {
 /// geometry on both sides).
 class LiveAggregator {
  public:
-  /// Fold one frame in (non-metric frames count spans_seen only).
+  /// Fold one frame in (non-metric frames count spans_seen only). A
+  /// malformed payload or a frame that re-types an existing series throws
+  /// util::Error and leaves the rebuild untouched.
   void consume(const Frame& frame);
 
   /// Drain a subscriber to close (blocking pop loop).

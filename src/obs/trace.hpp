@@ -74,11 +74,11 @@ struct TraceEvent {
 /// Canonical event order: (key, kind, entity, sequence, tick, time_h, value).
 bool trace_event_less(const TraceEvent& a, const TraceEvent& b);
 
-/// Thread-safe structured-event recorder. A null recorder pointer is the
-/// universal "tracing off" switch: every instrumented component accepts
-/// `obs::TraceRecorder*` and records only when non-null, so the tracing
-/// tax is one branch when disabled (BM_ObsOverhead measures the enabled
-/// cost).
+/// Thread-safe structured-event recorder. Instrumented components never
+/// record here directly: they fill an obs::TelemetryCapture, and the one
+/// sink (obs::TelemetryStream::commit, obs/stream.hpp) records its spans
+/// when a recorder is attached -- the only "tracing off" check
+/// (BM_ObsOverhead measures the enabled cost).
 class TraceRecorder {
  public:
   TraceRecorder() = default;

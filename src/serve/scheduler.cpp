@@ -33,18 +33,26 @@ Scheduler::~Scheduler() { drain_and_stop(); }
 std::vector<Response> Scheduler::replay(std::span<const Request> log,
                                         std::size_t parallelism) {
   const std::vector<DiagnosticsService*> services(log.size(), &service_);
-  return replay_pipeline(log, services, parallelism, stream_out_.get());
+  return replay_pipeline(
+      log, services, parallelism,
+      obs::TelemetryStream{bus_, service_.trace(), service_.metrics()});
+}
+
+void Scheduler::set_trace(obs::TraceRecorder* trace) {
+  util::ensure(!running_, "attach the trace recorder before start()");
+  service_.set_trace(trace);
+}
+
+void Scheduler::set_metrics(obs::MetricsRegistry* metrics, std::int32_t shard) {
+  util::ensure(!running_, "attach metrics before start()");
+  service_.set_metrics(metrics);
+  shard_ = shard;
 }
 
 void Scheduler::set_stream(obs::TelemetryBus* stream, std::int32_t shard) {
-  util::require(!running_, "attach the telemetry stream before start()");
-  stream_ = stream;
-  stream_shard_ = shard;
-  stream_out_ =
-      stream_ == nullptr
-          ? nullptr
-          : std::make_unique<obs::TelemetryStream>(
-                *stream_, service_.trace(), service_.metrics());
+  util::ensure(!running_, "attach the telemetry stream before start()");
+  bus_ = stream;
+  shard_ = shard;
 }
 
 void Scheduler::start(ResultSink* sink) {
@@ -55,6 +63,11 @@ void Scheduler::start(ResultSink* sink) {
   // nothing. Make that misuse loud instead.
   util::require(!queue_.closed(),
                 "scheduler cannot restart after drain_and_stop");
+  // The one place live telemetry surfaces are decided: the attached bus
+  // and recorder, and the service's registry or, without one, our own.
+  obs::MetricsRegistry* metrics = service_.metrics();
+  live_ = obs::TelemetryStream{bus_, service_.trace(),
+                               metrics != nullptr ? metrics : &own_metrics_};
   sink_ = sink;
   running_ = true;
   workers_.reserve(config_.workers);
@@ -66,17 +79,12 @@ void Scheduler::start(ResultSink* sink) {
 void Scheduler::note_admission(std::uint64_t id, Priority priority,
                                std::int32_t tenant, double time_h,
                                Admission admission) {
-  const obs::TraceEvent event{id, obs::SpanKind::kAdmission,
-                              static_cast<std::uint64_t>(priority), 0, 0,
-                              time_h, static_cast<double>(admission)};
-  if (stream_out_ != nullptr) {
-    // Streams the span AND folds it into the service's attached recorder;
-    // a separately attached scheduler recorder still gets its copy.
-    stream_out_->publish_span(tenant, event);
-    if (trace_ != nullptr && trace_ != service_.trace()) trace_->record(event);
-    return;
-  }
-  if (trace_ != nullptr) trace_->record(event);
+  obs::TelemetryCapture capture;
+  capture.tenant = tenant;
+  capture.span(id, obs::SpanKind::kAdmission,
+               static_cast<std::uint64_t>(priority), 0, 0, time_h,
+               static_cast<double>(admission));
+  live_.commit(capture);
 }
 
 Admission Scheduler::submit(Request request) {
@@ -121,40 +129,34 @@ void Scheduler::drain_and_stop() {
   sink_ = nullptr;
 }
 
+obs::MetricLabels Scheduler::scheduler_labels(std::size_t priority) const {
+  obs::MetricLabels labels;
+  labels.shard = shard_;
+  labels.priority = static_cast<std::int32_t>(priority);
+  return labels;
+}
+
 std::uint64_t Scheduler::completed() const {
-  const std::lock_guard<std::mutex> lock(telemetry_mutex_);
   std::uint64_t n = 0;
-  for (const PriorityTelemetry& t : telemetry_) n += t.completed;
+  for (std::size_t p = 0; p < kPriorityCount; ++p) {
+    n += live_.metrics->counter("serve.scheduler.completed",
+                                scheduler_labels(p))
+             .value();
+  }
   return n;
 }
 
 PriorityTelemetry Scheduler::telemetry(Priority priority) const {
-  const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-  return telemetry_[static_cast<std::size_t>(priority)];
-}
-
-void Scheduler::set_metrics(obs::MetricsRegistry* metrics, std::int32_t shard) {
-  util::require(!running_, "attach metrics before start()");
-  metrics_ = metrics;
-  if (metrics_ == nullptr) {
-    completed_metric_ = {};
-    queue_wait_metric_ = {};
-    service_time_metric_ = {};
-    return;
-  }
-  // Resolve the per-priority handles once; registry references are stable,
-  // so the worker hot path is an atomic add plus one histogram lock.
-  for (std::size_t p = 0; p < kPriorityCount; ++p) {
-    obs::MetricLabels labels;
-    labels.shard = shard;
-    labels.priority = static_cast<std::int32_t>(p);
-    completed_metric_[p] =
-        &metrics_->counter("serve.scheduler.completed", labels);
-    queue_wait_metric_[p] =
-        &metrics_->histogram("serve.scheduler.queue_wait_s", labels);
-    service_time_metric_[p] =
-        &metrics_->histogram("serve.scheduler.service_time_s", labels);
-  }
+  obs::MetricsRegistry& registry = *live_.metrics;
+  const obs::MetricLabels labels =
+      scheduler_labels(static_cast<std::size_t>(priority));
+  PriorityTelemetry t;
+  t.completed = registry.counter("serve.scheduler.completed", labels).value();
+  t.queue_wait =
+      registry.histogram("serve.scheduler.queue_wait_s", labels).snapshot();
+  t.service_time =
+      registry.histogram("serve.scheduler.service_time_s", labels).snapshot();
+  return t;
 }
 
 void Scheduler::publish_metrics(obs::MetricsRegistry& registry,
@@ -162,20 +164,11 @@ void Scheduler::publish_metrics(obs::MetricsRegistry& registry,
   obs::MetricLabels shard_labels;
   shard_labels.shard = shard;
   queue_stats().publish(registry, shard_labels);
-  const std::lock_guard<std::mutex> lock(telemetry_mutex_);
   for (std::size_t p = 0; p < kPriorityCount; ++p) {
     obs::MetricLabels labels = shard_labels;
     labels.priority = static_cast<std::int32_t>(p);
     registry.counter("serve.scheduler.completed", labels)
-        .set(telemetry_[p].completed);
-    if (&registry != metrics_) {
-      // The live registry already saw every observation streamed by the
-      // workers; merging the account again would double-count it.
-      registry.histogram("serve.scheduler.queue_wait_s", labels)
-          .merge(telemetry_[p].queue_wait);
-      registry.histogram("serve.scheduler.service_time_s", labels)
-          .merge(telemetry_[p].service_time);
-    }
+        .set(telemetry(static_cast<Priority>(p)).completed);
   }
 }
 
@@ -185,10 +178,13 @@ void Scheduler::worker_loop() {
     const auto dispatched = std::chrono::steady_clock::now();
     const double queue_wait = seconds_between(item.enqueued_at, dispatched);
 
+    // execute()'s stages, with the request's capture kept open so the
+    // scheduler's account rides in it and everything commits once.
+    RequestPlan plan = service_.plan(item.request);
+    RequestPlan* const plans[] = {&plan};
+    service_.measure(plans, 1);
     obs::TelemetryCapture capture;
-    const bool streaming = stream_out_ != nullptr;
-    const Response response =
-        service_.execute(item.request, streaming ? &capture : nullptr);
+    const Response response = service_.finish(plan, capture);
 
     const double service_time =
         seconds_between(dispatched, std::chrono::steady_clock::now());
@@ -202,47 +198,16 @@ void Scheduler::worker_loop() {
     telemetry.calibration_epoch = response.calibration_epoch;
     telemetry.flags = static_cast<std::uint32_t>(response.flags());
 
-    {
-      const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-      PriorityTelemetry& account =
-          telemetry_[static_cast<std::size_t>(response.priority)];
-      ++account.completed;
-      account.queue_wait.add(queue_wait);
-      account.service_time.add(service_time);
-    }
     const auto lane = static_cast<std::size_t>(response.priority);
-    if (metrics_ != nullptr) {
-      completed_metric_[lane]->add(1);
-      queue_wait_metric_[lane]->observe(queue_wait);
-      service_time_metric_[lane]->observe(service_time);
-    }
+    const obs::MetricLabels labels = scheduler_labels(lane);
+    capture.count("serve.scheduler.completed", labels);
+    capture.observe("serve.scheduler.queue_wait_s", labels, queue_wait);
+    capture.observe("serve.scheduler.service_time_s", labels, service_time);
     // Observational span: `value` is wall seconds, the one deliberate
     // exception to the pure-function field contract (live mode only).
-    const obs::TraceEvent queue_wait_span{
-        response.request_id, obs::SpanKind::kQueueWait, lane, 0, 0,
-        response.time_h, queue_wait};
-    if (streaming) {
-      // Stream the request's capture at completion, with the scheduler's
-      // wall-clock account riding along as non-fold deltas (the direct
-      // writes above already applied them; the stream only publishes).
-      obs::MetricLabels labels;
-      labels.shard = stream_shard_;
-      labels.priority = static_cast<std::int32_t>(lane);
-      capture.ops.push_back({obs::MetricType::kCounter,
-                             "serve.scheduler.completed", labels, 1.0,
-                             false});
-      capture.observe("serve.scheduler.queue_wait_s", labels, queue_wait,
-                      false);
-      capture.observe("serve.scheduler.service_time_s", labels, service_time,
-                      false);
-      capture.span(queue_wait_span);
-      stream_out_->publish(capture);
-      if (trace_ != nullptr && trace_ != service_.trace()) {
-        trace_->record(queue_wait_span);
-      }
-    } else if (trace_ != nullptr) {
-      trace_->record(queue_wait_span);
-    }
+    capture.span(response.request_id, obs::SpanKind::kQueueWait, lane, 0, 0,
+                 response.time_h, queue_wait);
+    live_.commit(capture);
     if (sink_ != nullptr) {
       sink_->on_response(response);
       sink_->on_telemetry(telemetry);

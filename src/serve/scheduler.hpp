@@ -12,16 +12,14 @@
 ///   (the serve and cyp workloads of tests/determinism pin this).
 /// - start()/submit()/drain_and_stop(): live mode. Worker threads pop the
 ///   bounded priority RequestQueue, execute, and feed responses plus
-///   wall-clock telemetry (queue wait, service time) to a ResultSink and
-///   the per-priority latency histograms. Admission control is the
+///   wall-clock telemetry (queue wait, service time) to a ResultSink. The
+///   same latencies ride in each request's telemetry capture into the
+///   metrics registry, the one latency account. Admission control is the
 ///   caller's choice per request: submit() rejects when full (open-loop
 ///   load shedding), submit_wait() blocks (backpressure).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
@@ -43,13 +41,14 @@ struct SchedulerConfig {
   std::size_t workers = 0;
 };
 
-/// Per-priority latency account (seconds).
+/// One priority class's latency account (seconds), as read back from the
+/// registry's serve.scheduler.* series.
 struct PriorityTelemetry {
   std::uint64_t completed = 0;
   util::LatencyHistogram queue_wait;
   util::LatencyHistogram service_time;
 
-  /// Fold another account in (cross-shard / cross-worker aggregation).
+  /// Fold another account in (cross-shard aggregation).
   void merge(const PriorityTelemetry& other) {
     completed += other.completed;
     queue_wait.merge(other.queue_wait);
@@ -80,9 +79,13 @@ class Scheduler {
   // --- live mode ------------------------------------------------------------
 
   /// Launch the worker threads. `sink` (optional) receives every response
-  /// and telemetry record; it must outlive drain_and_stop(). Live mode is
-  /// one-shot per Scheduler: starting again after drain_and_stop throws
-  /// (the queue closed permanently; construct a fresh Scheduler instead).
+  /// and telemetry record; it must outlive drain_and_stop(). The telemetry
+  /// surfaces are fixed here: the bus from set_stream, the service's trace
+  /// recorder and its registry -- or, when the service has none, a
+  /// registry this scheduler owns, so completed() and telemetry() always
+  /// have an account to read. Live mode is one-shot per Scheduler:
+  /// starting again after drain_and_stop throws (the queue closed
+  /// permanently; construct a fresh Scheduler instead).
   void start(ResultSink* sink = nullptr);
 
   /// Non-blocking admission (explicit reject when full).
@@ -107,54 +110,58 @@ class Scheduler {
   /// shed / timed out), taken under one lock.
   QueueStats queue_stats() const { return queue_.stats(); }
 
-  /// Requests fully served in live mode.
+  /// Requests fully served in live mode: the sum of the registry's
+  /// serve.scheduler.completed series for this scheduler's shard label
+  /// (schedulers sharing one registry are told apart by that label only).
   std::uint64_t completed() const;
 
-  /// Copy of one priority class's latency account. Predates the metrics
-  /// registry; kept as the cross-shard merge primitive. publish_metrics()
-  /// is the registry-era surface over the same counters.
+  /// One priority class's latency account, read from the live registry's
+  /// serve.scheduler.{completed, queue_wait_s, service_time_s} series.
   PriorityTelemetry telemetry(Priority priority) const;
 
   // --- observability ---------------------------------------------------------
+  // Every attach throws while live mode runs: the telemetry surfaces are
+  // fixed at start().
 
-  /// Attach a trace recorder (nullptr = tracing off, the default). Live
-  /// admission and dispatch events record here, and the underlying
-  /// service's spans ride along when it carries the same recorder.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  /// Attach a trace recorder to the underlying service (nullptr = off).
+  /// Replay and live requests record their service spans there, live
+  /// mode adds the kAdmission and kQueueWait spans.
+  void set_trace(obs::TraceRecorder* trace);
 
-  /// Attach a metrics registry for live-mode streaming: workers add to
-  /// serve.scheduler.completed and observe the queue_wait_s /
-  /// service_time_s histograms as requests finish (labels: priority, plus
-  /// `shard` when >= 0). Call before start().
+  /// Attach a metrics registry to the underlying service (nullptr = off).
+  /// Live workers add serve.scheduler.completed and observe the
+  /// queue_wait_s / service_time_s histograms as requests finish (labels:
+  /// priority, plus `shard` when >= 0), in the same capture as the
+  /// request's serve.service.* series.
   void set_metrics(obs::MetricsRegistry* metrics, std::int32_t shard = -1);
 
   /// Publish the admission account and per-priority completion counters
-  /// (set-semantics) into `registry` under the canonical serve.* names.
-  /// Latency histograms merge in too -- unless `registry` is the live
-  /// registry attached via set_metrics, whose histograms already streamed.
+  /// (set-semantics, idempotent) into `registry` under the canonical
+  /// serve.* names. The latency histograms live in the live registry only.
   void publish_metrics(obs::MetricsRegistry& registry,
                        std::int32_t shard = -1) const;
 
-  /// Attach a telemetry bus (nullptr = off). replay() then captures each
-  /// request's telemetry privately and publishes it in log order through
-  /// an obs::StreamSequencer -- per-topic frame sequences are bitwise
-  /// identical at any parallelism (the `stream` determinism workload).
-  /// Live workers publish each request's capture at completion, plus the
-  /// wall-clock scheduler account (completed / queue_wait_s /
-  /// service_time_s deltas) and the admission spans from submit().
-  /// Captures fold into the service's attached trace/metrics on publish,
-  /// so every batch-era export is unchanged by streaming. `shard` labels
-  /// the live-mode scheduler deltas (like set_metrics).
+  /// Attach a telemetry bus (nullptr = off). replay() commits each
+  /// request's capture in log order through an obs::StreamSequencer --
+  /// per-topic frame sequences are bitwise identical at any parallelism
+  /// (the `stream` determinism workload). Live workers commit each
+  /// request's capture at completion, carrying the wall-clock scheduler
+  /// account (completed / queue_wait_s / service_time_s and the kQueueWait
+  /// span); submit() commits one kAdmission span per call. `shard` labels
+  /// the live-mode scheduler series; set_metrics and set_stream set the
+  /// same one label, the later call wins.
   void set_stream(obs::TelemetryBus* stream, std::int32_t shard = -1);
 
  private:
   void worker_loop();
 
-  /// Admission-span tap shared by the submit paths (streams and/or
-  /// records, per what is attached).
+  /// Admission-span tap shared by the submit paths: a one-span capture.
   void note_admission(std::uint64_t id, Priority priority,
                       std::int32_t tenant, double time_h,
                       Admission admission);
+
+  /// Labels of one priority class's serve.scheduler.* series.
+  obs::MetricLabels scheduler_labels(std::size_t priority) const;
 
   DiagnosticsService& service_;
   SchedulerConfig config_;
@@ -163,21 +170,12 @@ class Scheduler {
   ResultSink* sink_ = nullptr;
   bool running_ = false;
 
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TelemetryBus* stream_ = nullptr;
-  /// Publisher over stream_ folding into the service's attached surfaces;
-  /// rebuilt whenever set_stream is called.
-  std::unique_ptr<obs::TelemetryStream> stream_out_;
-  std::int32_t stream_shard_ = -1;  ///< shard label of live-mode stream ops
-  /// Cached stable registry handles (one per priority) so the worker hot
-  /// path pays no registry lookup.
-  std::array<obs::Counter*, kPriorityCount> completed_metric_{};
-  std::array<obs::Histogram*, kPriorityCount> queue_wait_metric_{};
-  std::array<obs::Histogram*, kPriorityCount> service_time_metric_{};
-
-  mutable std::mutex telemetry_mutex_;
-  std::array<PriorityTelemetry, kPriorityCount> telemetry_;
+  obs::TelemetryBus* bus_ = nullptr;
+  std::int32_t shard_ = -1;  ///< shard label of the serve.scheduler.* series
+  /// The live-mode registry when the service has none attached.
+  obs::MetricsRegistry own_metrics_;
+  /// Where live mode commits; fixed at start().
+  obs::TelemetryStream live_{nullptr, nullptr, &own_metrics_};
 };
 
 }  // namespace idp::serve

@@ -118,31 +118,24 @@ std::uint64_t DiagnosticsService::recalibration_block(
 
 const quant::Quantifier& DiagnosticsService::quantifier_for(
     Session& session, std::uint32_t channel, std::uint32_t epoch,
-    obs::TelemetryCapture* capture) {
+    obs::TelemetryCapture& capture) {
   const quant::Quantifier& quantifier =
       epoch_quantifier(session, channel, epoch);
   if (epoch == 0) return quantifier;
-  // Campaign-active + epoch-swap spans, emitted by EVERY request that uses
+  // Campaign-active + epoch-swap spans, recorded by EVERY request that uses
   // the epoch: each field is a pure function of (session, channel, epoch),
-  // so re-emissions are exact duplicates that collapse in sorted() -- and
-  // under streaming, each request's capture carries them regardless of
+  // so re-recordings are exact duplicates that collapse on commit and in
+  // sorted() -- and each request's capture carries them regardless of
   // which request's builder won the warm-cache race (no metrics counter
   // for builds for the same reason: a *count* would depend on the race).
   const double boundary_h = static_cast<double>(epoch) *
                             config_.recalibration_interval_days * 24.0;
   const auto block =
       static_cast<double>(recalibration_block(session, channel, epoch));
-  if (capture != nullptr) {
-    capture->span(session.site_id(), obs::SpanKind::kRecalibration, channel,
-                  epoch, 0, boundary_h, block);
-    capture->span(session.site_id(), obs::SpanKind::kEpochSwap, channel,
-                  epoch, 0, boundary_h, static_cast<double>(epoch));
-  } else if (trace_ != nullptr) {
-    trace_->record(session.site_id(), obs::SpanKind::kRecalibration, channel,
-                   epoch, 0, boundary_h, block);
-    trace_->record(session.site_id(), obs::SpanKind::kEpochSwap, channel,
-                   epoch, 0, boundary_h, static_cast<double>(epoch));
-  }
+  capture.span(session.site_id(), obs::SpanKind::kRecalibration, channel,
+               epoch, 0, boundary_h, block);
+  capture.span(session.site_id(), obs::SpanKind::kEpochSwap, channel, epoch,
+               0, boundary_h, static_cast<double>(epoch));
   return quantifier;
 }
 
@@ -196,7 +189,7 @@ void DiagnosticsService::measure(std::span<RequestPlan* const> plans,
 
 ChannelResult DiagnosticsService::channel_result(
     const RequestPlan& plan, const PlannedRead& read,
-    obs::TelemetryCapture* capture) {
+    obs::TelemetryCapture& capture) {
   ChannelResult result;
   result.channel = read.channel;
   result.target = config_.panel[read.channel];
@@ -212,41 +205,26 @@ void DiagnosticsService::note_run(const Request& request,
                                   std::uint32_t channel,
                                   std::uint64_t sequence,
                                   std::uint64_t run_id,
-                                  obs::TelemetryCapture* capture) {
-  const char* counter = request.kind == RequestKind::kQcCheck
-                            ? "serve.service.qc_runs"
-                            : "serve.service.channel_reads";
+                                  obs::TelemetryCapture& capture) {
   obs::MetricLabels labels;
   labels.tenant = static_cast<std::int32_t>(request.session.tenant);
   labels.channel = static_cast<std::int32_t>(channel);
-  if (capture != nullptr) {
-    capture->span(request.id, obs::SpanKind::kExecution, channel, sequence,
-                  0, request.time_h, static_cast<double>(run_id));
-    capture->count(counter, labels);
-    return;
-  }
-  if (trace_ != nullptr) {
-    trace_->record(request.id, obs::SpanKind::kExecution, channel, sequence,
-                   0, request.time_h, static_cast<double>(run_id));
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter(counter, labels).add(1);
-  }
+  capture.span(request.id, obs::SpanKind::kExecution, channel, sequence, 0,
+               request.time_h, static_cast<double>(run_id));
+  capture.count(request.kind == RequestKind::kQcCheck
+                    ? "serve.service.qc_runs"
+                    : "serve.service.channel_reads",
+                labels);
 }
 
 void DiagnosticsService::note_estimate(const Request& request,
                                        std::uint32_t channel,
                                        double estimate_mM,
-                                       obs::TelemetryCapture* capture) {
+                                       obs::TelemetryCapture& capture) {
   obs::MetricLabels labels;
   labels.tenant = static_cast<std::int32_t>(request.session.tenant);
   labels.channel = static_cast<std::int32_t>(channel);
-  if (capture != nullptr) {
-    capture->observe("serve.service.estimate_mM", labels, estimate_mM);
-  } else if (metrics_ != nullptr) {
-    metrics_->histogram("serve.service.estimate_mM", labels)
-        .observe(estimate_mM);
-  }
+  capture.observe("serve.service.estimate_mM", labels, estimate_mM);
 }
 
 RequestPlan DiagnosticsService::plan(const Request& request) {
@@ -305,28 +283,16 @@ RequestPlan DiagnosticsService::plan(const Request& request) {
 }
 
 Response DiagnosticsService::finish(const RequestPlan& plan,
-                                    obs::TelemetryCapture* capture) {
+                                    obs::TelemetryCapture& capture) {
   const Request& request = *plan.request;
-  if (capture != nullptr) {
-    capture->tenant = static_cast<std::int32_t>(request.session.tenant);
-  }
+  capture.tenant = static_cast<std::int32_t>(request.session.tenant);
   {
     obs::MetricLabels labels;
-    labels.tenant = static_cast<std::int32_t>(request.session.tenant);
+    labels.tenant = capture.tenant;
     labels.priority = static_cast<std::int32_t>(request.priority);
-    if (capture != nullptr) {
-      capture->span(request.id, obs::SpanKind::kLeaseGrant, plan.lease, 0, 0,
-                    request.time_h, static_cast<double>(plan.epoch));
-      capture->count("serve.service.requests", labels);
-    } else {
-      if (trace_ != nullptr) {
-        trace_->record(request.id, obs::SpanKind::kLeaseGrant, plan.lease, 0,
-                       0, request.time_h, static_cast<double>(plan.epoch));
-      }
-      if (metrics_ != nullptr) {
-        metrics_->counter("serve.service.requests", labels).add(1);
-      }
-    }
+    capture.span(request.id, obs::SpanKind::kLeaseGrant, plan.lease, 0, 0,
+                 request.time_h, static_cast<double>(plan.epoch));
+    capture.count("serve.service.requests", labels);
   }
 
   Response response;
@@ -379,18 +345,20 @@ Response DiagnosticsService::finish(const RequestPlan& plan,
   return response;
 }
 
-Response DiagnosticsService::execute(const Request& request,
-                                     obs::TelemetryCapture* capture) {
+Response DiagnosticsService::execute(const Request& request) {
   RequestPlan one = plan(request);
   RequestPlan* const plans[] = {&one};
   measure(plans, 1);
-  return finish(one, capture);
+  obs::TelemetryCapture capture;
+  Response response = finish(one, capture);
+  sink_.commit(capture);
+  return response;
 }
 
 std::vector<Response> replay_pipeline(
     std::span<const Request> log,
     std::span<DiagnosticsService* const> services, std::size_t parallelism,
-    obs::TelemetryStream* stream,
+    const obs::TelemetryStream& sink,
     const std::function<void(std::size_t, obs::TelemetryCapture&)>& prelude) {
   util::require(services.size() == log.size(), "one service per request");
   // Every request's run-id lease is fixed by its id before anything
@@ -418,22 +386,16 @@ std::vector<Response> replay_pipeline(
     service->measure(mine, parallelism);
   }
 
+  // Each request's telemetry records into a private capture, and the
+  // captures commit in log order through the sequencer -- the published
+  // per-topic frame sequence is a pure function of (log, configuration),
+  // independent of parallelism.
   std::vector<Response> responses(log.size());
-  if (stream == nullptr) {
-    runner.run(log.size(), [&](std::size_t i) {
-      responses[i] = services[i]->finish(plans[i], nullptr);
-    });
-    return responses;
-  }
-  // Streaming: each request's telemetry records into a private capture,
-  // and captures publish in log order through the sequencer -- the
-  // published per-topic frame sequence is a pure function of (log,
-  // configuration), independent of parallelism.
-  obs::StreamSequencer sequencer(*stream, log.size());
+  obs::StreamSequencer sequencer(sink, log.size());
   runner.run(log.size(), [&](std::size_t i) {
     obs::TelemetryCapture capture;
     if (prelude) prelude(i, capture);
-    responses[i] = services[i]->finish(plans[i], &capture);
+    responses[i] = services[i]->finish(plans[i], capture);
     sequencer.deposit(i, std::move(capture));
   });
   return responses;

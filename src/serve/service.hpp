@@ -149,20 +149,9 @@ class DiagnosticsService {
   /// Execute one request. Pure in the determinism sense (see file
   /// comment); mutates only the session registry's warm caches and
   /// counters, which are order-insensitive. The one-request case of the
-  /// replay pipeline: plan, measure, finish.
-  Response execute(const Request& request) { return execute(request, nullptr); }
-
-  /// Streaming-mode execute: with a capture, every span and metric update
-  /// of this request records into `capture` INSTEAD of the attached
-  /// recorder/registry -- the telemetry stream publishes the capture in
-  /// log order and folds it back (obs::TelemetryStream), so the batch
-  /// surfaces end identical while the published frame sequence stays a
-  /// pure function of the request. Captured spans are themselves pure
-  /// functions of (request, configuration): epoch spans (kEpochSwap,
-  /// kRecalibration) emit for *every* request on the epoch, not just the
-  /// cache-building winner, so which request carries them never depends
-  /// on the thread schedule (they collapse as exact duplicates on fold).
-  Response execute(const Request& request, obs::TelemetryCapture* capture);
+  /// replay pipeline: plan, measure, finish into a private capture, then
+  /// commit it to the attached recorder/registry.
+  Response execute(const Request& request);
 
   // --- the three stages of execute(), for batched replay -------------------
 
@@ -179,33 +168,38 @@ class DiagnosticsService {
   void measure(std::span<RequestPlan* const> plans,
                std::size_t parallelism) const;
 
-  /// Quantify a measured plan into its response, emitting every span and
-  /// metric of the request in execute()'s order (into `capture` when given,
-  /// else into the attached recorder/registry).
-  Response finish(const RequestPlan& plan, obs::TelemetryCapture* capture);
+  /// Quantify a measured plan into its response, recording every span and
+  /// metric of the request into `capture` in execute()'s order. Captured
+  /// spans are pure functions of (request, configuration): epoch spans
+  /// (kEpochSwap, kRecalibration) record for *every* request on the
+  /// epoch, not just the cache-building winner, so which request carries
+  /// them never depends on the thread schedule (exact duplicates collapse
+  /// on commit and in TraceRecorder::sorted()).
+  Response finish(const RequestPlan& plan, obs::TelemetryCapture& capture);
 
   SessionRegistry& sessions() { return registry_; }
   const SessionRegistry& sessions() const { return registry_; }
 
   // --- observability ---------------------------------------------------------
 
-  /// Attach a trace recorder (nullptr = off). execute() then emits
+  /// Attach a trace recorder (nullptr = off). execute() then records
   /// kLeaseGrant, one kExecution per measured run, and kEpochSwap /
-  /// kRecalibration spans for field-recalibration epochs. Every emitted
+  /// kRecalibration spans for field-recalibration epochs. Every recorded
   /// field is a pure function of (request, configuration), so the sorted
-  /// trace inherits the response determinism contract; idempotent
-  /// session-epoch spans collapse in TraceRecorder::sorted().
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
+  /// trace inherits the response determinism contract. A Scheduler or
+  /// ShardCluster over this service commits its captures here too.
+  void set_trace(obs::TraceRecorder* trace) { sink_.trace = trace; }
 
   /// Attach a metrics registry (nullptr = off): request / channel-read /
-  /// QC / recalibration counters under serve.service.* (labels: tenant,
-  /// priority, channel). Thread-safe alongside concurrent execute().
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// estimate series under serve.service.* (labels: tenant, priority,
+  /// channel), plus the scheduler's serve.scheduler.* account when a
+  /// Scheduler serves through this service. Thread-safe alongside
+  /// concurrent execute().
+  void set_metrics(obs::MetricsRegistry* metrics) { sink_.metrics = metrics; }
 
-  /// The attached surfaces (nullptr = off) -- what a TelemetryStream
-  /// folds captures into.
-  obs::TraceRecorder* trace() const { return trace_; }
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  /// The attached surfaces (nullptr = off).
+  obs::TraceRecorder* trace() const { return sink_.trace; }
+  obs::MetricsRegistry* metrics() const { return sink_.metrics; }
 
  private:
   /// The active quantifier of (session, channel) at an epoch: the factory
@@ -222,27 +216,27 @@ class DiagnosticsService {
                                     std::uint32_t epoch) const;
 
   /// epoch_quantifier plus the kRecalibration / kEpochSwap spans a
-  /// field-recalibration epoch emits on every use.
+  /// field-recalibration epoch records on every use.
   const quant::Quantifier& quantifier_for(Session& session,
                                           std::uint32_t channel,
                                           std::uint32_t epoch,
-                                          obs::TelemetryCapture* capture);
+                                          obs::TelemetryCapture& capture);
 
   /// One quantified channel read of a measured plan.
   ChannelResult channel_result(const RequestPlan& plan, const PlannedRead& read,
-                               obs::TelemetryCapture* capture);
+                               obs::TelemetryCapture& capture);
 
   /// Observability tap of one measured run: kExecution span plus the
-  /// per-channel read counter. No-op when neither surface is attached.
+  /// per-channel read counter.
   void note_run(const Request& request, std::uint32_t channel,
                 std::uint64_t sequence, std::uint64_t run_id,
-                obs::TelemetryCapture* capture);
+                obs::TelemetryCapture& capture);
 
   /// Quantified-estimate tap: one serve.service.estimate_mM histogram
   /// observation per produced ChannelResult (labels: tenant, channel) --
   /// the distribution behind the live p50/p90/p99 concentration tiles.
   void note_estimate(const Request& request, std::uint32_t channel,
-                     double estimate_mM, obs::TelemetryCapture* capture);
+                     double estimate_mM, obs::TelemetryCapture& capture);
 
   quant::CalibrationStore& store_;
   ServiceConfig config_;
@@ -250,8 +244,7 @@ class DiagnosticsService {
   std::vector<sim::ChannelProtocol> protocols_;
   std::vector<const quant::Quantifier*> factory_;  ///< stable store addresses
   SessionRegistry registry_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::TelemetryStream sink_;  ///< recorder + registry, no bus
 };
 
 /// The replay pipeline of Scheduler::replay and ShardCluster::replay:
@@ -259,14 +252,14 @@ class DiagnosticsService {
 /// one lane-batched engine run, then finish every request; responses land
 /// in log order. Every stage fans out over `parallelism` workers (0 =
 /// hardware) and the responses are bitwise identical to sequential
-/// execute() calls. With a `stream`, each request's telemetry records into
-/// a private capture -- opened by `prelude(i, capture)` when given -- and
-/// the captures publish in log order, so the frame sequence is independent
-/// of parallelism too.
+/// execute() calls. Each request's telemetry records into a private
+/// capture -- opened by `prelude(i, capture)` when given -- and the
+/// captures commit to `sink` in log order, so the frame sequence is
+/// independent of parallelism too.
 std::vector<Response> replay_pipeline(
     std::span<const Request> log,
     std::span<DiagnosticsService* const> services, std::size_t parallelism,
-    obs::TelemetryStream* stream,
+    const obs::TelemetryStream& sink,
     const std::function<void(std::size_t, obs::TelemetryCapture&)>& prelude =
         {});
 

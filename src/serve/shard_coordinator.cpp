@@ -200,23 +200,14 @@ std::vector<Response> ShardCluster::run_primary(
   for (std::size_t i = 0; i < log.size(); ++i) {
     service_of[i] = services_[shard_of[i]].get();
   }
-  if (stream_ == nullptr) {
-    if (trace_ != nullptr) {
-      for (std::size_t i = 0; i < log.size(); ++i) {
-        trace_->record(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0,
-                       0, log[i].time_h);
-      }
-    }
-    return replay_pipeline(log, service_of, parallelism, nullptr);
-  }
-  // Streaming: the route span travels in each request's capture instead
-  // (the fold into the trace reproduces it bit for bit).
-  obs::TelemetryStream stream_out(*stream_, trace_, metrics_);
+  // The route span opens each request's capture.
   const auto route = [&](std::size_t i, obs::TelemetryCapture& capture) {
     capture.span(log[i].id, obs::SpanKind::kShardRoute, shard_of[i], 0, 0,
                  log[i].time_h);
   };
-  return replay_pipeline(log, service_of, parallelism, &stream_out, route);
+  return replay_pipeline(log, service_of, parallelism,
+                         obs::TelemetryStream{stream_, trace_, metrics_},
+                         route);
 }
 
 // GCC 12's -Wfree-nonheap-object misfires on the stack-local bookkeeping
@@ -256,13 +247,22 @@ ShardedReplayResult ShardCluster::replay(
   // function of (log, config, fault schedule) at any parallelism. A real
   // shard computes a response on first execution and caches it for
   // retransmits; precomputing expresses the identical purity statement.
-  // Streaming: each request's capture streams once, here, in log order --
-  // before transport and merge. Recovery telemetry (kRetry / kReroute /
-  // kFailover / kMerge, and failover re-executions) depends on the fault
-  // schedule and records into the batch recorder only -- the stream's
-  // determinism contract is over (log, seed, config) alone.
+  // Each request's capture commits once, here, in log order -- before
+  // transport and merge. Recovery telemetry (kRetry / kReroute / kFailover
+  // / kRejoin / kMerge, and failover re-executions) depends on the fault
+  // schedule, so it commits to a bus-less sink: the stream's determinism
+  // contract is over (log, seed, config) alone.
   const std::vector<Response> primary_responses =
       run_primary(log, shard_of, parallelism);
+  const obs::TelemetryStream recovery{nullptr, trace_, metrics_};
+  const auto record = [&](std::uint64_t key, obs::SpanKind kind,
+                          std::uint64_t entity, std::uint64_t sequence,
+                          double time_h = 0.0, double value = 0.0) {
+    obs::TelemetryCapture capture;
+    capture.span(key, kind, entity, sequence, transport->now(), time_h,
+                 value);
+    recovery.commit(capture);
+  };
 
   RetryTracker tracker(fault_config.retry);
   FailureDetector detector(fault_config.detector, shard_count());
@@ -284,15 +284,13 @@ ShardedReplayResult ShardCluster::replay(
     const std::size_t target = detector.route_around(primary);
     if (target != primary) ++result.faults.reroutes;
     ++attempts[index];
-    if (trace_ != nullptr && attempts[index] > 1) {
+    if (attempts[index] > 1) {
       const std::uint64_t id = log[index].id;
       const double time_h = log[index].time_h;
-      trace_->record(id, obs::SpanKind::kRetry, target, attempts[index] - 1,
-                     transport->now(), time_h);
+      record(id, obs::SpanKind::kRetry, target, attempts[index] - 1, time_h);
       if (target != primary) {
-        trace_->record(id, obs::SpanKind::kReroute, target,
-                       attempts[index] - 1, transport->now(), time_h,
-                       static_cast<double>(primary));
+        record(id, obs::SpanKind::kReroute, target, attempts[index] - 1,
+               time_h, static_cast<double>(primary));
       }
     }
     transport->send_work(WorkEnvelope{target, static_cast<std::uint64_t>(index)});
@@ -344,13 +342,11 @@ ShardedReplayResult ShardCluster::replay(
     }
 
     // Coordinator side: fold in liveness evidence, then sweep timeouts.
-    // With a trace attached, both steps are bracketed so every verdict
-    // transition records a span: heartbeats rejoin, timeouts fail over.
+    // Both steps are bracketed so every verdict transition records a span:
+    // heartbeats rejoin, timeouts fail over.
     std::vector<ShardHealth> before;
-    if (trace_ != nullptr) {
-      for (std::size_t s = 0; s < shard_count(); ++s) {
-        before.push_back(detector.health(s));
-      }
+    for (std::size_t s = 0; s < shard_count(); ++s) {
+      before.push_back(detector.health(s));
     }
     HeartbeatEnvelope heartbeat;
     while (transport->poll_heartbeat(heartbeat)) {
@@ -360,11 +356,10 @@ ShardedReplayResult ShardCluster::replay(
     for (std::size_t s = 0; s < before.size(); ++s) {
       const ShardHealth now_health = detector.health(s);
       if (now_health == before[s]) continue;
-      trace_->record(s,
-                     now_health == ShardHealth::kDown
-                         ? obs::SpanKind::kFailover
-                         : obs::SpanKind::kRejoin,
-                     0, 0, transport->now());
+      record(s,
+             now_health == ShardHealth::kDown ? obs::SpanKind::kFailover
+                                              : obs::SpanKind::kRejoin,
+             0, 0);
     }
 
     // Coordinator side: merge matured responses; completion cancels the
@@ -375,11 +370,8 @@ ShardedReplayResult ShardCluster::replay(
         const std::size_t index = index_of.at(envelope.response.request_id);
         result.executed_by[index] = envelope.shard;
         tracker.completed(index);
-        if (trace_ != nullptr) {
-          trace_->record(envelope.response.request_id, obs::SpanKind::kMerge,
-                         envelope.shard, envelope.sequence, transport->now(),
-                         envelope.response.time_h);
-        }
+        record(envelope.response.request_id, obs::SpanKind::kMerge,
+               envelope.shard, envelope.sequence, envelope.response.time_h);
       }
     }
 
@@ -423,15 +415,11 @@ void ShardCluster::start(ResultSink* sink) {
     schedulers_.push_back(
         std::make_unique<Scheduler>(*services_[s], config_.scheduler));
     Scheduler& scheduler = *schedulers_.back();
-    // Wire observability before the workers exist: the scheduler resolves
-    // its per-priority metric handles under this shard's label.
+    // Wire observability before the workers exist; every series the
+    // scheduler adds carries this shard's label.
     scheduler.set_trace(trace_);
-    if (metrics_ != nullptr) {
-      scheduler.set_metrics(metrics_, static_cast<std::int32_t>(s));
-    }
-    if (stream_ != nullptr) {
-      scheduler.set_stream(stream_, static_cast<std::int32_t>(s));
-    }
+    scheduler.set_metrics(metrics_, static_cast<std::int32_t>(s));
+    scheduler.set_stream(stream_, static_cast<std::int32_t>(s));
     scheduler.start(fan_in_.get());
   }
   running_ = true;
@@ -489,6 +477,7 @@ QueueStats ShardCluster::queue_stats() const {
 }
 
 void ShardCluster::set_trace(obs::TraceRecorder* trace) {
+  util::ensure(!running_, "attach the trace recorder before start()");
   trace_ = trace;
   for (const std::unique_ptr<DiagnosticsService>& service : services_) {
     service->set_trace(trace);
@@ -496,13 +485,17 @@ void ShardCluster::set_trace(obs::TraceRecorder* trace) {
 }
 
 void ShardCluster::set_metrics(obs::MetricsRegistry* metrics) {
+  util::ensure(!running_, "attach metrics before start()");
   metrics_ = metrics;
   for (const std::unique_ptr<DiagnosticsService>& service : services_) {
     service->set_metrics(metrics);
   }
 }
 
-void ShardCluster::set_stream(obs::TelemetryBus* stream) { stream_ = stream; }
+void ShardCluster::set_stream(obs::TelemetryBus* stream) {
+  util::ensure(!running_, "attach the telemetry stream before start()");
+  stream_ = stream;
+}
 
 void ShardCluster::publish_metrics(obs::MetricsRegistry& registry) const {
   for (std::size_t s = 0; s < schedulers_.size(); ++s) {

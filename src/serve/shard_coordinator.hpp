@@ -305,19 +305,21 @@ class ShardCluster {
   QueueStats queue_stats() const;
 
   // --- observability ---------------------------------------------------------
+  // Attach before replaying or start(); every attach throws util::Error
+  // while live mode runs (each shard scheduler fixed its surfaces at
+  // start()).
 
   /// Attach a trace recorder (nullptr = off) to the cluster and every
-  /// shard service: replay then emits kShardRoute / kMerge spans (plus
+  /// shard service: replay then records kShardRoute / kMerge spans (plus
   /// kRetry / kReroute / kFailover / kRejoin when the transport forces
-  /// recovery), and the services emit their execution spans. Attach before
-  /// replaying or start().
+  /// recovery), and the services record their execution spans.
   void set_trace(obs::TraceRecorder* trace);
 
-  /// Attach a metrics registry (nullptr = off) to every shard service,
-  /// and -- when attached before start() -- to each shard's scheduler for
-  /// live latency streaming (labels carry the shard index). Replay
-  /// additionally publishes its merge/fault stats on completion, so
-  /// one attached registry satisfies every serve conservation rule.
+  /// Attach a metrics registry (nullptr = off) to every shard service and,
+  /// at start(), to each shard's scheduler for its live latency account
+  /// (labels carry the shard index). Replay additionally publishes its
+  /// merge/fault stats on completion, so one attached registry satisfies
+  /// every serve conservation rule.
   void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Publish every shard's admission account and completion counters into
@@ -332,14 +334,13 @@ class ShardCluster {
   /// transport's fault schedule (coordinator-side kMerge / kRetry /
   /// kFailover spans are batch metadata of the recovery schedule and
   /// deliberately do not stream). Live mode forwards the bus to every
-  /// shard scheduler at start(). Attach before replaying or start().
+  /// shard scheduler at start().
   void set_stream(obs::TelemetryBus* stream);
 
  private:
   /// Primary-route execution: the replay pipeline with request i on shard
-  /// shard_of[i]. Each request's kShardRoute span opens its capture when
-  /// a stream is attached (captures publish in log order), and records
-  /// straight into the trace otherwise.
+  /// shard_of[i]. Each request's kShardRoute span opens its capture, and
+  /// the captures commit in log order to the attached surfaces.
   std::vector<Response> run_primary(std::span<const Request> log,
                                     std::span<const std::size_t> shard_of,
                                     std::size_t parallelism);

@@ -112,8 +112,10 @@ void LatencyHistogram::add(double value) {
   if (value > min_value_) {
     bin = (std::log10(value) - log_min_) * bins_per_decade_;
   }
-  const auto idx = static_cast<std::size_t>(std::max(0.0, bin));
-  ++counts_[std::min(idx, counts_.size() - 1)];
+  // Clamp before the cast: +inf (or anything past the top bin) would
+  // overflow the integer conversion.
+  const double top = static_cast<double>(counts_.size() - 1);
+  ++counts_[static_cast<std::size_t>(std::clamp(bin, 0.0, top))];
 }
 
 double LatencyHistogram::min() const { return count_ == 0 ? 0.0 : min_seen_; }

@@ -603,8 +603,9 @@ std::vector<serve::Request> cyp_log(const serve::DiagnosticsService& service) {
   return serve::synthesize_traffic(traffic, service);
 }
 
-/// The reference: every request of the log through execute(), one at a
-/// time in log order, each capture published as it completes.
+/// The reference: every request of the log through execute()'s stages,
+/// one request at a time in log order, each capture committed to the bus
+/// as it completes.
 std::uint64_t cyp_execute_digest(std::uint64_t seed) {
   serve::DiagnosticsService service(cyp_store(), cyp_service_config(seed));
   const std::vector<serve::Request> log = cyp_log(service);
@@ -613,13 +614,16 @@ std::uint64_t cyp_execute_digest(std::uint64_t seed) {
   recorder_config.name = "recorder";
   recorder_config.capacity = 1u << 15;
   const auto recorder = bus.subscribe(recorder_config);
-  obs::TelemetryStream stream(bus, nullptr, nullptr);
+  const obs::TelemetryStream stream{&bus};
   test::BitDigest d;
   std::size_t late_qc = 0;
   for (const serve::Request& request : log) {
+    serve::RequestPlan plan = service.plan(request);
+    serve::RequestPlan* const plans[] = {&plan};
+    service.measure(plans, 1);
     obs::TelemetryCapture capture;
-    const serve::Response response = service.execute(request, &capture);
-    stream.publish(capture);
+    const serve::Response response = service.finish(plan, capture);
+    stream.commit(capture);
     test::fold(d, response);
     if (response.kind == serve::RequestKind::kQcCheck &&
         response.calibration_epoch >= 1) {

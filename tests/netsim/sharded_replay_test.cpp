@@ -267,6 +267,28 @@ TEST(ShardCluster, DuplicateRequestIdsFailBeforeAnythingExecutes) {
   EXPECT_EQ(trace.size(), 0u) << "the replay executed before refusing";
 }
 
+TEST(ShardCluster, AttachingTelemetryWhileRunningThrows) {
+  // Each shard scheduler fixed its telemetry surfaces at start(); an
+  // attach while the workers run would race them and is refused.
+  serve::ShardClusterConfig config;
+  config.router.shards = 2;
+  config.scheduler.workers = 1;
+  serve::ShardCluster cluster(shared_store(), service_config(1), config);
+  obs::TraceRecorder trace;
+  obs::MetricsRegistry metrics;
+  obs::TelemetryBus bus;
+  cluster.start();
+  EXPECT_THROW(cluster.set_trace(&trace), util::Error);
+  EXPECT_THROW(cluster.set_metrics(&metrics), util::Error);
+  EXPECT_THROW(cluster.set_stream(&bus), util::Error);
+  cluster.drain_and_stop();
+  EXPECT_EQ(cluster.shard(0).trace(), nullptr);
+  EXPECT_EQ(cluster.shard(1).metrics(), nullptr);
+  // Stopped again: attaching for a later replay is fine.
+  cluster.set_trace(&trace);
+  EXPECT_EQ(cluster.shard(1).trace(), &trace);
+}
+
 TEST(ResultMerger, DetectsLossLoudly) {
   serve::ResultMerger merger;
   serve::ResponseEnvelope e;
@@ -397,16 +419,16 @@ std::shared_ptr<obs::TelemetrySubscriber> subscribe_all(obs::TelemetryBus& bus) 
   return bus.subscribe(config);
 }
 
-/// The reference: sequential execute() in log order, each capture
-/// published as it completes -- opened with the kShardRoute span the
-/// cluster replay streams when `router` is given.
+/// The reference: execute()'s stages one request at a time in log order,
+/// each capture committed to the bus as it completes -- opened with the
+/// kShardRoute span the cluster replay streams when `router` is given.
 RunDigest sequential_execute(std::uint64_t seed,
                              std::span<const serve::Request> log,
                              const serve::ShardCluster* router) {
   serve::DiagnosticsService service(cyp_store(), cyp_service_config(seed));
   obs::TelemetryBus bus;
   const auto recorder = subscribe_all(bus);
-  obs::TelemetryStream stream(bus, nullptr, nullptr);
+  const obs::TelemetryStream stream{&bus};
   std::vector<serve::Response> responses;
   for (const serve::Request& r : log) {
     obs::TelemetryCapture capture;
@@ -414,8 +436,11 @@ RunDigest sequential_execute(std::uint64_t seed,
       capture.span(r.id, obs::SpanKind::kShardRoute, router->route(r.session),
                    0, 0, r.time_h);
     }
-    responses.push_back(service.execute(r, &capture));
-    stream.publish(capture);
+    serve::RequestPlan plan = service.plan(r);
+    serve::RequestPlan* const plans[] = {&plan};
+    service.measure(plans, 1);
+    responses.push_back(service.finish(plan, capture));
+    stream.commit(capture);
   }
   bus.close();
   return {digest_responses(responses), frame_digest(*recorder)};

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -138,6 +139,47 @@ TEST(TelemetryFrame, PayloadDecodersRejectTrailingBytes) {
   std::vector<std::uint8_t> bytes = obs::encode(obs::TraceSpanPayload{});
   bytes.push_back(0x00);
   EXPECT_THROW((void)obs::decode_trace_span(bytes), util::Error);
+}
+
+TEST(TelemetryFrame, MetricDecodersRejectNonCountCounterValues) {
+  // A counter value converts back to a u64 count on the consumer side;
+  // anything that cannot (NaN, infinities, negatives, fractions, >= 2^64)
+  // must be refused at decode time.
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(),
+                        -1.0,
+                        0.5,
+                        0x1p64,
+                        1e300};
+  for (const double value : bad) {
+    obs::MetricDeltaPayload delta;
+    delta.type = obs::MetricType::kCounter;
+    delta.name = "serve.queue.accepted";
+    delta.value = value;
+    EXPECT_THROW((void)obs::decode_metric_delta(obs::encode(delta)),
+                 util::Error)
+        << "delta counter value " << value;
+    obs::MetricSnapshotPayload snapshot;
+    snapshot.type = obs::MetricType::kCounter;
+    snapshot.name = "serve.queue.accepted";
+    snapshot.value = value;
+    EXPECT_THROW((void)obs::decode_metric_snapshot(obs::encode(snapshot)),
+                 util::Error)
+        << "snapshot counter value " << value;
+    // Gauges and histograms carry arbitrary doubles.
+    delta.type = obs::MetricType::kGauge;
+    const std::vector<std::uint8_t> gauge = obs::encode(delta);
+    EXPECT_EQ(obs::encode(obs::decode_metric_delta(gauge)), gauge);
+  }
+  // The largest exact counts still decode.
+  for (const double value : {0.0, 1.0, 0x1p53, 0x1p64 - 0x1p11}) {
+    obs::MetricDeltaPayload delta;
+    delta.type = obs::MetricType::kCounter;
+    delta.name = "serve.queue.accepted";
+    delta.value = value;
+    EXPECT_EQ(obs::decode_metric_delta(obs::encode(delta)).value, value);
+  }
 }
 
 TEST(TelemetryFrame, TopicHelpers) {

@@ -338,8 +338,7 @@ TEST(TelemetryBus, MidRunHistogramSnapshotIsReportedApproximate) {
 TEST(StreamSequencer, PublishesDepositsInLogOrder) {
   obs::TelemetryBus bus;
   const auto subscriber = bus.subscribe(sub("all"));
-  obs::TelemetryStream stream(bus, nullptr, nullptr);
-  obs::StreamSequencer sequencer(stream, 3);
+  obs::StreamSequencer sequencer(obs::TelemetryStream{&bus}, 3);
 
   const auto capture_of = [](std::uint64_t key) {
     obs::TelemetryCapture capture;
@@ -363,33 +362,43 @@ TEST(StreamSequencer, PublishesDepositsInLogOrder) {
   }
 }
 
-TEST(TelemetryStream, PublishFoldsIntoBatchSurfacesExactlyOnce) {
+TEST(TelemetryStream, CommitReachesEverySurfaceExactlyOnce) {
   obs::TelemetryBus bus;
   const auto subscriber = bus.subscribe(sub("all"));
   obs::TraceRecorder trace;
   obs::MetricsRegistry registry;
-  obs::TelemetryStream stream(bus, &trace, &registry);
+  const obs::TelemetryStream sink{&bus, &trace, &registry};
 
   obs::TelemetryCapture capture;
   capture.tenant = 1;
   capture.span(9, obs::SpanKind::kLeaseGrant);
   capture.span(9, obs::SpanKind::kLeaseGrant);  // duplicate collapses
   capture.count("serve.service.requests", {}, 1);
-  registry.counter("serve.scheduler.completed").add(1);  // applied directly...
-  capture.ops.push_back({obs::MetricType::kCounter, "serve.scheduler.completed",
-                         {}, 1.0, false});  // ...so it streams without folding
-  stream.publish(capture);
+  capture.observe("serve.scheduler.queue_wait_s", {}, 0.25);
+  sink.commit(capture);
 
-  EXPECT_EQ(trace.sorted().size(), 1u);
-  EXPECT_EQ(registry.snapshot().value("serve.service.requests"), 1.0);
-  EXPECT_EQ(registry.snapshot().value("serve.scheduler.completed"), 1.0);
-  // Every op streamed regardless of fold; the duplicate span did not.
+  // Each surface saw the capture once: one span (the duplicate collapsed
+  // before recording), each op applied once.
+  EXPECT_EQ(trace.size(), 1u);
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.value("serve.service.requests"), 1.0);
+  EXPECT_EQ(snapshot.value("serve.scheduler.queue_wait_s"), 1.0);
+  // The bus got one frame per canonical span and per op, spans first.
   EXPECT_EQ(bus.frames_published(), 3u);
   obs::Frame frame;
   ASSERT_TRUE(subscriber->try_pop(frame));
   EXPECT_EQ(frame.type, obs::FrameType::kTraceSpan);
-  ASSERT_TRUE(subscriber->try_pop(frame));
-  EXPECT_EQ(frame.type, obs::FrameType::kMetricDelta);
+  obs::LiveAggregator aggregator;
+  while (subscriber->try_pop(frame)) {
+    EXPECT_EQ(frame.type, obs::FrameType::kMetricDelta);
+    aggregator.consume(frame);
+  }
+  EXPECT_EQ(aggregator.snapshot().samples.size(), snapshot.samples.size());
+
+  // A sink with nothing attached accepts the same capture and drops it.
+  obs::TelemetryStream{}.commit(capture);
+  EXPECT_EQ(bus.frames_published(), 3u);
+  EXPECT_EQ(trace.size(), 1u);
 }
 
 // --- end-to-end: the streaming serve guarantees ------------------------------
@@ -492,13 +501,13 @@ TEST(TelemetryStreaming, ReplayFramesAreParallelismInvariantAndFoldExact) {
     (void)scheduler.replay(streamed_log(), parallelism);
     bus.close();
 
-    // Folding left the batch surfaces bit-identical to the non-streaming
-    // replay: streaming is observability, not a behaviour change.
+    // Attaching a bus left the batch surfaces bit-identical to the
+    // bus-less replay: streaming is observability, not a behaviour change.
     EXPECT_EQ(trace_digest(trace.sorted()), batch_trace_digest)
-        << "fold diverged at parallelism " << parallelism;
+        << "trace diverged at parallelism " << parallelism;
     metrics.snapshot().to_csv(dir + "/stream_metrics.csv");
     EXPECT_EQ(slurp(dir + "/stream_metrics.csv"), batch_metrics_csv)
-        << "fold diverged at parallelism " << parallelism;
+        << "metrics diverged at parallelism " << parallelism;
 
     const std::vector<std::uint8_t> bytes = drain_bytes(*recorder);
     EXPECT_FALSE(bytes.empty());
@@ -540,6 +549,70 @@ TEST(TelemetryStreaming, LiveAggregatorEqualsEndOfRunSnapshot) {
   EXPECT_TRUE(aggregator.snapshot().has("serve.service.estimate_mM"));
   std::remove((dir + "/live_tiles.csv").c_str());
   std::remove((dir + "/end_of_run.csv").c_str());
+}
+
+TEST(TelemetryStreaming, LiveAggregatorEqualsTheLiveRegistry) {
+  // Live mode keeps one latency account: every worker commits the
+  // scheduler's completed / queue_wait_s / service_time_s ops in the
+  // request's capture, so the registry, a from-the-start aggregator and
+  // telemetry(p) all read the same numbers.
+  serve::DiagnosticsService service(shared_store(), streamed_service_config());
+  obs::MetricsRegistry metrics;
+  obs::TelemetryBus bus;
+  const auto tiles = bus.subscribe(
+      sub("tiles", 1u << 14, obs::OverflowPolicy::kBlock, "metrics/"));
+  obs::LiveAggregator aggregator;
+  std::thread consumer([&] { aggregator.run(*tiles); });
+  serve::SchedulerConfig scheduler_config;
+  scheduler_config.queue.capacity = 64;
+  scheduler_config.workers = 3;
+  serve::Scheduler scheduler(service, scheduler_config);
+  scheduler.set_metrics(&metrics);
+  scheduler.set_stream(&bus);
+  scheduler.start();
+  for (const serve::Request& request : streamed_log()) {
+    ASSERT_EQ(scheduler.submit_wait(request), serve::Admission::kAccepted);
+  }
+  scheduler.drain_and_stop();
+  bus.close();
+  consumer.join();
+
+  const obs::MetricsSnapshot registry = metrics.snapshot();
+  EXPECT_TRUE(aggregator.exact());
+  const std::string dir = ::testing::TempDir();
+  aggregator.snapshot().to_jsonl(dir + "/live_account_tiles.jsonl");
+  registry.to_jsonl(dir + "/live_account_registry.jsonl");
+  EXPECT_EQ(slurp(dir + "/live_account_tiles.jsonl"),
+            slurp(dir + "/live_account_registry.jsonl"));
+  std::remove((dir + "/live_account_tiles.jsonl").c_str());
+  std::remove((dir + "/live_account_registry.jsonl").c_str());
+
+  EXPECT_EQ(registry.sum("serve.scheduler.completed"),
+            static_cast<double>(streamed_log().size()));
+  EXPECT_EQ(scheduler.completed(), streamed_log().size());
+  for (std::size_t p = 0; p < serve::kPriorityCount; ++p) {
+    obs::MetricLabels labels;
+    labels.priority = static_cast<std::int32_t>(p);
+    const serve::PriorityTelemetry t =
+        scheduler.telemetry(static_cast<serve::Priority>(p));
+    const obs::MetricSample* completed =
+        registry.find("serve.scheduler.completed", labels);
+    const obs::MetricSample* queue_wait =
+        registry.find("serve.scheduler.queue_wait_s", labels);
+    const obs::MetricSample* service_time =
+        registry.find("serve.scheduler.service_time_s", labels);
+    if (completed == nullptr) {  // no request of this class in the log
+      EXPECT_EQ(t.completed, 0u);
+      EXPECT_EQ(queue_wait, nullptr);
+      EXPECT_EQ(service_time, nullptr);
+      continue;
+    }
+    ASSERT_NE(queue_wait, nullptr);
+    ASSERT_NE(service_time, nullptr);
+    EXPECT_EQ(static_cast<double>(t.completed), completed->value);
+    EXPECT_EQ(t.queue_wait.summary(), queue_wait->latency);
+    EXPECT_EQ(t.service_time.summary(), service_time->latency);
+  }
 }
 
 TEST(TelemetryStreaming, ClusterFramesAreInvariantToTheFaultSchedule) {

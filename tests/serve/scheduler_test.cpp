@@ -3,7 +3,8 @@
 /// every live completion, PriorityTelemetry::merge is the cross-worker /
 /// cross-shard aggregation it claims to be, live-mode CSV output is byte
 /// identical to the replay of the same log, and the lifecycle edges
-/// (drain_and_stop idempotent, restart-after-drain throws, empty replay).
+/// (drain_and_stop idempotent, restart-after-drain throws, attaching
+/// telemetry while running throws, empty replay).
 
 #include "serve/scheduler.hpp"
 
@@ -15,8 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/stream.hpp"
+#include "obs/trace.hpp"
 #include "quant/calibration_store.hpp"
 #include "serve/traffic.hpp"
+#include "util/error.hpp"
 
 namespace idp::serve {
 namespace {
@@ -153,6 +158,36 @@ TEST(Scheduler, DrainAndStopIsIdempotentAndRestartThrows) {
   EXPECT_FALSE(scheduler.running());
   EXPECT_THROW(scheduler.start(), std::invalid_argument)
       << "live mode is one-shot; restarting must be loud";
+}
+
+TEST(Scheduler, AttachingTelemetryWhileRunningThrows) {
+  // The telemetry surfaces are fixed at start(); the workers read them
+  // without a lock, so an attach while they run must be refused.
+  DiagnosticsService service(shared_store(), service_config());
+  obs::TraceRecorder trace;
+  obs::MetricsRegistry metrics;
+  obs::TelemetryBus bus;
+  Scheduler scheduler(service, SchedulerConfig{.queue = {}, .workers = 2});
+  scheduler.set_trace(&trace);
+  scheduler.start();
+  EXPECT_THROW(scheduler.set_trace(nullptr), util::Error);
+  EXPECT_THROW(scheduler.set_metrics(&metrics), util::Error);
+  EXPECT_THROW(scheduler.set_stream(&bus), util::Error);
+  const std::vector<Request> log = traffic_log(service, 4);
+  for (const Request& r : log) {
+    ASSERT_EQ(scheduler.submit_wait(r), Admission::kAccepted);
+  }
+  scheduler.drain_and_stop();
+  // The refused attaches changed nothing: the trace attached before
+  // start() kept receiving every request's spans.
+  EXPECT_EQ(service.trace(), &trace);
+  EXPECT_EQ(service.metrics(), nullptr);
+  std::size_t queue_waits = 0;
+  for (const obs::TraceEvent& e : trace.sorted()) {
+    if (e.kind == obs::SpanKind::kQueueWait) ++queue_waits;
+  }
+  EXPECT_EQ(queue_waits, log.size());
+  EXPECT_EQ(scheduler.completed(), log.size());
 }
 
 TEST(Scheduler, ReplayOfEmptyLogIsEmpty) {
