@@ -175,17 +175,10 @@ dsp::CalibrationCurve ElaboratedPlatform::calibrate_seeded(
   std::uint64_t next_id = run_id_base;
   auto run_once = [&]() -> double {
     const std::uint64_t run_id = ++next_id;
-    const sim::Channel channel{&probe, &rt.electrode};
-    if (std::holds_alternative<sim::ChronoamperometryProtocol>(rt.protocol)) {
-      const auto& p = std::get<sim::ChronoamperometryProtocol>(rt.protocol);
-      const sim::Trace trace = engine_.run_chronoamperometry_seeded(
-          run_id, channel, p, rt.frontend);
-      return response_of(target, e, trace, sim::CvCurve{});
-    }
-    const auto& p = std::get<sim::CyclicVoltammetryProtocol>(rt.protocol);
-    const sim::CvCurve curve = engine_.run_cyclic_voltammetry_seeded(
-        run_id, channel, p, rt.frontend);
-    return response_of(target, e, sim::Trace{}, curve);
+    const sim::MeasurementResult result = engine_.run(
+        {run_id, sim::Channel{&probe, &rt.electrode}, rt.protocol,
+         &rt.frontend});
+    return response_of(target, e, result.amperogram, result.voltammogram);
   };
 
   dsp::CalibrationCurve curve;

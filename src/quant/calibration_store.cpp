@@ -128,17 +128,10 @@ Calibration CalibrationStore::build_calibration(
   std::uint64_t next_id = first_run_id;
   auto run_once = [&]() -> double {
     const std::uint64_t run_id = ++next_id;
-    const sim::Channel channel{probe.get(), nullptr, sensor};
-    if (std::holds_alternative<sim::ChronoamperometryProtocol>(protocol)) {
-      const auto& p = std::get<sim::ChronoamperometryProtocol>(protocol);
-      const sim::Trace trace =
-          engine_.run_chronoamperometry_seeded(run_id, channel, p, frontend);
-      return panel_response(target, trace, sim::CvCurve{});
-    }
-    const auto& p = std::get<sim::CyclicVoltammetryProtocol>(protocol);
-    const sim::CvCurve curve =
-        engine_.run_cyclic_voltammetry_seeded(run_id, channel, p, frontend);
-    return panel_response(target, sim::Trace{}, curve);
+    const sim::MeasurementResult result = engine_.run(
+        {run_id, sim::Channel{probe.get(), nullptr, sensor}, protocol,
+         &frontend});
+    return panel_response(target, result.amperogram, result.voltammogram);
   };
 
   Calibration calibration;

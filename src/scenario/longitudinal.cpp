@@ -52,16 +52,9 @@ double measure_response(const sim::MeasurementEngine& engine,
                         std::uint64_t run_id, const sim::Channel& channel,
                         const sim::ChannelProtocol& protocol,
                         afe::AnalogFrontEnd& fe, bio::TargetId target) {
-  if (std::holds_alternative<sim::ChronoamperometryProtocol>(protocol)) {
-    const auto& proto = std::get<sim::ChronoamperometryProtocol>(protocol);
-    const sim::Trace trace =
-        engine.run_chronoamperometry_seeded(run_id, channel, proto, fe);
-    return quant::panel_response(target, trace, sim::CvCurve{});
-  }
-  const auto& proto = std::get<sim::CyclicVoltammetryProtocol>(protocol);
-  const sim::CvCurve curve =
-      engine.run_cyclic_voltammetry_seeded(run_id, channel, proto, fe);
-  return quant::panel_response(target, sim::Trace{}, curve);
+  const sim::MeasurementResult result =
+      engine.run({run_id, channel, protocol, &fe});
+  return quant::panel_response(target, result.amperogram, result.voltammogram);
 }
 
 /// Per-channel monitoring state of one patient's sensor: which calibration

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "afe/waveform.hpp"
 #include "bio/cyp_batch.hpp"
@@ -29,12 +30,11 @@ constexpr std::size_t kMinLaneFill = 4;
 /// Widest lockstep job under the automatic rule (EngineConfig::batch_lanes
 /// = 0): two AVX registers of doubles per solver row.
 constexpr std::size_t kMaxAutoLanes = 8;
-}  // namespace
 
 /// Per-run noise generators: independent white noise for the signal and
 /// blank paths plus one *shared* drift process (same chamber, same solution)
 /// that correlated double sampling can cancel.
-struct MeasurementEngine::NoiseState {
+struct NoiseState {
   util::Rng white_signal;
   util::Rng white_blank;
   util::DriftProcess drift;
@@ -59,14 +59,6 @@ struct MeasurementEngine::NoiseState {
   double blank_white() { return enabled ? white_blank.gaussian(white_rms) : 0.0; }
 };
 
-MeasurementEngine::MeasurementEngine(EngineConfig config) : config_(config) {
-  util::require(config_.chem_dt > 0.0, "chem_dt must be positive");
-  util::require(config_.drift_scale >= 0.0, "drift_scale must be >= 0");
-  util::require(config_.drift_tau > 0.0, "drift_tau must be positive");
-}
-
-namespace {
-
 /// Sampling instants are derived from an integer sample counter so that the
 /// k-th sample lands at exactly (k+1)*period -- accumulating `next += period`
 /// drifts by one ulp per sample over long runs.
@@ -79,12 +71,218 @@ struct SamplingClock {
   void advance() { ++samples; }
 };
 
+double sample_rate_of(const ChannelProtocol& p) {
+  return std::visit([](const auto& q) { return q.sample_rate; }, p);
+}
+
+/// The fallback lane kernel: every lane steps its own probe through
+/// Probe::step (a DirectProbe, or any measurement no batched kernel takes).
+/// It also applies a run's timed injections, to every lane, at the first
+/// step starting at or after their time.
+class ProbeLanes {
+ public:
+  ProbeLanes(std::vector<bio::Probe*> probes,
+             std::span<const InjectionEvent> injections)
+      : probes_(std::move(probes)),
+        pending_(injections.begin(), injections.end()) {
+    std::stable_sort(pending_.begin(), pending_.end(),
+                     [](const auto& a, const auto& b) { return a.time < b.time; });
+  }
+
+  void step(std::span<const double> e, double dt, std::span<double> i_out) {
+    const double t = static_cast<double>(steps_++) * dt;
+    for (; next_ < pending_.size() && pending_[next_].time <= t; ++next_) {
+      for (bio::Probe* probe : probes_) {
+        probe->set_bulk_concentration(pending_[next_].target,
+                                      pending_[next_].concentration);
+      }
+    }
+    for (std::size_t l = 0; l < probes_.size(); ++l) {
+      i_out[l] = probes_[l]->step(e[l], dt);
+    }
+  }
+
+ private:
+  std::vector<bio::Probe*> probes_;
+  std::vector<InjectionEvent> pending_;
+  std::size_t next_ = 0;
+  std::size_t steps_ = 0;
+};
+
+/// One lockstep run of measurements that share a timeline (CA: duration
+/// and sample rate; CV: the identical sweep): the engine's one measurement
+/// loop. The constructor is the per-lane preamble, simulate() steps the
+/// physics through a lane kernel and records each lane's raw samples, and
+/// digitise() feeds them through each lane's front end afterwards. The
+/// split is bit-exact because nothing the front end does feeds back into
+/// the physics: the potentiostat regulates on the faradaic current.
+class LaneRun {
+ public:
+  LaneRun(const EngineConfig& config, std::span<const Measurement> all,
+          std::span<const std::size_t> group)
+      : config_(config), all_(all), group_(group) {
+    for (const std::size_t i : group) {
+      const Measurement& m = all[i];
+      util::require(m.channel.probe != nullptr, "channel has no probe");
+      const auto* ca = std::get_if<ChronoamperometryProtocol>(&m.protocol);
+      util::require(sample_rate_of(m.protocol) > 0.0 &&
+                        (ca == nullptr || ca->duration > 0.0),
+                    "invalid protocol");
+      bio::Probe& probe = *m.channel.probe;
+      const fault::SensorState& sensor = m.channel.sensor;
+      probe.apply_sensor_state(sensor);
+      probe.reset();
+      m.frontend->set_drift(sensor.afe_gain, sensor.afe_offset_A);
+      noise_.emplace_back(config, probe, m.run_id, sensor.storm_noise_mult);
+      probes_.push_back(&probe);
+      sensors_.push_back(&sensor);
+      blank_current_.push_back(probe.blank_current());
+      blank_fraction_.push_back(probe.blank_signal_fraction());
+      setpoint_.push_back(ca != nullptr ? ca->potential : 0.0);
+    }
+    const ChannelProtocol& first = all[group[0]].protocol;
+    duration_ = protocol_duration(first);
+    sample_rate_ = sample_rate_of(first);
+    if (const auto* cv = std::get_if<CyclicVoltammetryProtocol>(&first)) {
+      sweep_.emplace(cv->e_start, cv->e_vertex, cv->scan_rate, cv->cycles);
+    }
+  }
+
+  /// The lane probes, as the kernel's probe type.
+  template <class P>
+  std::vector<P*> probes() const {
+    std::vector<P*> typed;
+    for (bio::Probe* p : probes_) typed.push_back(static_cast<P*>(p));
+    return typed;
+  }
+  std::span<const fault::SensorState* const> sensors() const { return sensors_; }
+
+  /// Step every lane's physics through `kernel` (any type with
+  /// step(span<const double> e, double dt, span<double> i_out)), recording
+  /// per sampling instant the time, the programmed potential (sweeps) and
+  /// each lane's noisy signal and blank currents.
+  template <class Kernel>
+  void simulate(Kernel&& kernel) {
+    const std::size_t w = probes_.size();
+    const auto n_samples =
+        static_cast<std::size_t>(std::ceil(duration_ * sample_rate_)) + 1;
+    t_.reserve(n_samples);
+    e_.reserve(sweep_ ? n_samples : 0);
+    i_sig_.reserve(n_samples * w);
+    i_blank_.reserve(n_samples * w);
+    const afe::Potentiostat pstat(config_.potentiostat);
+    SamplingClock clock(sample_rate_);
+    const double dt = config_.chem_dt;
+    // i[l] is lane l's faradaic current (plus charging current on sweeps):
+    // the kernel's output, and the next step's potentiostat load.
+    std::vector<double> e_applied(w), i(w, 0.0);
+    const auto n_steps = static_cast<std::size_t>(std::ceil(duration_ / dt));
+    for (std::size_t k = 0; k < n_steps; ++k) {
+      const double t = static_cast<double>(k) * dt;
+      if (sweep_) std::fill(setpoint_.begin(), setpoint_.end(), sweep_->value(t));
+      // Reference-electrode drift: the interface sees a shifted potential
+      // while the instrument still believes (and records) the setpoint.
+      for (std::size_t l = 0; l < w; ++l) {
+        e_applied[l] = pstat.applied_potential(setpoint_[l], i[l],
+                                               config_.cell_impedance) +
+                       sensors_[l]->reference_shift_V;
+      }
+      kernel.step(e_applied, dt, i);
+      if (sweep_ && config_.charging_current) {
+        for (std::size_t l = 0; l < w; ++l) {
+          const chem::Electrode* electrode = all_[group_[l]].channel.electrode;
+          if (electrode != nullptr) {
+            i[l] += electrode->charging_current(
+                sweep_->scan_rate() * static_cast<double>(sweep_->direction(t)));
+          }
+        }
+      }
+
+      if (clock.due(t + dt)) {
+        t_.push_back(clock.next());
+        if (sweep_) e_.push_back(sweep_->value(clock.next()));
+        for (std::size_t l = 0; l < w; ++l) {
+          const double drift = noise_[l].step_drift(clock.period);
+          const double storm = sensors_[l]->storm_current_A;
+          i_sig_.push_back(i[l] + noise_[l].signal_white() + drift + storm);
+          // The blank electrode shares solution drift; for directly
+          // electroactive targets it also collects part of the signal
+          // itself (the Section II-C caveat on CDS). Interference storms
+          // are solution-borne, so both electrodes collect them (which is
+          // exactly what CDS can exploit).
+          i_blank_.push_back(blank_current_[l] +
+                             blank_fraction_[l] * (i[l] - blank_current_[l]) +
+                             noise_[l].blank_white() + drift + storm);
+        }
+        clock.advance();
+      }
+    }
+  }
+
+  /// Digitise each lane's raw samples through its own front end, in run
+  /// order: lane l's result is the amperogram (CA) or voltammogram (CV).
+  std::vector<MeasurementResult> digitise() const {
+    const std::size_t w = probes_.size();
+    std::vector<MeasurementResult> results(w);
+    for (std::size_t l = 0; l < w; ++l) {
+      afe::AnalogFrontEnd& fe = *all_[group_[l]].frontend;
+      MeasurementResult& r = results[l];
+      r.amperogram.reserve(sweep_ ? 0 : t_.size());
+      r.voltammogram.reserve(sweep_ ? t_.size() : 0);
+      for (std::size_t s = 0; s < t_.size(); ++s) {
+        const double value = fe.sample(i_sig_[s * w + l], i_blank_[s * w + l]);
+        if (sweep_) {
+          r.voltammogram.push(t_[s], e_[s], value);
+        } else {
+          r.amperogram.push(t_[s], value);
+        }
+      }
+    }
+    return results;
+  }
+
+ private:
+  const EngineConfig& config_;
+  std::span<const Measurement> all_;
+  std::span<const std::size_t> group_;
+  std::vector<bio::Probe*> probes_;
+  std::vector<const fault::SensorState*> sensors_;
+  std::vector<NoiseState> noise_;
+  std::vector<double> blank_current_, blank_fraction_;
+  std::vector<double> setpoint_;  ///< CA: each lane's potential; CV: the sweep
+  std::optional<afe::TriangleWaveform> sweep_;  ///< CV only
+  double duration_ = 0.0;
+  double sample_rate_ = 0.0;
+  // Raw samples: shared instants and programmed potentials, lane currents
+  // sample-major ([s * w + l]).
+  std::vector<double> t_, e_, i_sig_, i_blank_;
+};
+
+/// One measurement through the ProbeLanes kernel at width 1.
+MeasurementResult run_probe(const EngineConfig& config, const Measurement& m,
+                            std::span<const InjectionEvent> injections) {
+  const std::size_t index = 0;
+  LaneRun lanes(config, {&m, 1}, {&index, 1});
+  lanes.simulate(ProbeLanes(lanes.probes<bio::Probe>(), injections));
+  return std::move(lanes.digitise().front());
+}
+
 }  // namespace
+
+MeasurementEngine::MeasurementEngine(EngineConfig config) : config_(config) {
+  util::require(config_.chem_dt > 0.0, "chem_dt must be positive");
+  util::require(config_.drift_scale >= 0.0, "drift_scale must be >= 0");
+  util::require(config_.drift_tau > 0.0, "drift_tau must be positive");
+}
 
 std::uint64_t MeasurementEngine::reserve_run_ids(std::size_t n) {
   const std::uint64_t base = run_counter_;
   run_counter_ += n;
   return base;
+}
+
+MeasurementResult MeasurementEngine::run(const Measurement& m) const {
+  return run_probe(config_, m, {});
 }
 
 Trace MeasurementEngine::run_chronoamperometry(
@@ -98,68 +296,9 @@ Trace MeasurementEngine::run_chronoamperometry_seeded(
     std::uint64_t run_id, Channel channel,
     const ChronoamperometryProtocol& protocol, afe::AnalogFrontEnd& fe,
     std::span<const InjectionEvent> injections) const {
-  util::require(channel.probe != nullptr, "channel has no probe");
-  util::require(protocol.duration > 0.0 && protocol.sample_rate > 0.0,
-                "invalid protocol");
-  const fault::SensorState& sensor = channel.sensor;
-  bio::Probe& probe = *channel.probe;
-  probe.apply_sensor_state(sensor);
-  probe.reset();
-  fe.set_drift(sensor.afe_gain, sensor.afe_offset_A);
-
-  NoiseState noise(config_, probe, run_id, sensor.storm_noise_mult);
-  afe::Potentiostat pstat(config_.potentiostat);
-
-  std::vector<InjectionEvent> pending(injections.begin(), injections.end());
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const auto& a, const auto& b) { return a.time < b.time; });
-  std::size_t next_injection = 0;
-
-  Trace trace;
-  trace.reserve(static_cast<std::size_t>(
-                    std::ceil(protocol.duration * protocol.sample_rate)) +
-                1);
-  SamplingClock clock(protocol.sample_rate);
-  const double dt = config_.chem_dt;
-  double i_prev = 0.0;
-  const auto n_steps =
-      static_cast<std::size_t>(std::ceil(protocol.duration / dt));
-  for (std::size_t k = 0; k < n_steps; ++k) {
-    const double t = static_cast<double>(k) * dt;
-    while (next_injection < pending.size() &&
-           pending[next_injection].time <= t) {
-      probe.set_bulk_concentration(pending[next_injection].target,
-                                   pending[next_injection].concentration);
-      ++next_injection;
-    }
-    // Reference-electrode drift: the interface sees a shifted potential
-    // while the instrument still believes protocol.potential.
-    const double e_applied =
-        pstat.applied_potential(protocol.potential, i_prev,
-                                config_.cell_impedance) +
-        sensor.reference_shift_V;
-    const double i_far = probe.step(e_applied, dt);
-    i_prev = i_far;
-
-    if (clock.due(t + dt)) {
-      const double drift = noise.step_drift(clock.period);
-      const double i_sig =
-          i_far + noise.signal_white() + drift + sensor.storm_current_A;
-      // The blank electrode shares solution drift; for directly
-      // electroactive targets it also collects part of the signal itself
-      // (the Section II-C caveat on CDS). Interference storms are
-      // solution-borne, so both electrodes collect them (which is exactly
-      // what CDS can exploit).
-      const double i_blank = probe.blank_current() +
-                             probe.blank_signal_fraction() *
-                                 (i_far - probe.blank_current()) +
-                             noise.blank_white() + drift +
-                             sensor.storm_current_A;
-      trace.push(clock.next(), fe.sample(i_sig, i_blank));
-      clock.advance();
-    }
-  }
-  return trace;
+  return run_probe(config_, Measurement{run_id, channel, protocol, &fe},
+                   injections)
+      .amperogram;
 }
 
 CvCurve MeasurementEngine::run_cyclic_voltammetry(
@@ -171,57 +310,7 @@ CvCurve MeasurementEngine::run_cyclic_voltammetry(
 CvCurve MeasurementEngine::run_cyclic_voltammetry_seeded(
     std::uint64_t run_id, Channel channel,
     const CyclicVoltammetryProtocol& protocol, afe::AnalogFrontEnd& fe) const {
-  util::require(channel.probe != nullptr, "channel has no probe");
-  util::require(protocol.sample_rate > 0.0, "invalid protocol");
-  const fault::SensorState& sensor = channel.sensor;
-  bio::Probe& probe = *channel.probe;
-  probe.apply_sensor_state(sensor);
-  probe.reset();
-  fe.set_drift(sensor.afe_gain, sensor.afe_offset_A);
-
-  NoiseState noise(config_, probe, run_id, sensor.storm_noise_mult);
-  afe::Potentiostat pstat(config_.potentiostat);
-  const afe::TriangleWaveform wf(protocol.e_start, protocol.e_vertex,
-                                 protocol.scan_rate, protocol.cycles);
-
-  CvCurve curve;
-  curve.reserve(
-      static_cast<std::size_t>(std::ceil(wf.duration() * protocol.sample_rate)) +
-      1);
-  SamplingClock clock(protocol.sample_rate);
-  const double dt = config_.chem_dt;
-  double i_prev = 0.0;
-  const auto n_steps = static_cast<std::size_t>(std::ceil(wf.duration() / dt));
-  for (std::size_t k = 0; k < n_steps; ++k) {
-    const double t = static_cast<double>(k) * dt;
-    const double e_set = wf.value(t);
-    // The recorded curve keeps the *programmed* potential; only the probe
-    // sees the reference-drift shift.
-    const double e_applied =
-        pstat.applied_potential(e_set, i_prev, config_.cell_impedance) +
-        sensor.reference_shift_V;
-    double i_true = probe.step(e_applied, dt);
-    if (config_.charging_current && channel.electrode != nullptr) {
-      i_true += channel.electrode->charging_current(
-          protocol.scan_rate * static_cast<double>(wf.direction(t)));
-    }
-    i_prev = i_true;
-
-    if (clock.due(t + dt)) {
-      const double drift = noise.step_drift(clock.period);
-      const double i_sig =
-          i_true + noise.signal_white() + drift + sensor.storm_current_A;
-      const double i_blank = probe.blank_current() +
-                             probe.blank_signal_fraction() *
-                                 (i_true - probe.blank_current()) +
-                             noise.blank_white() + drift +
-                             sensor.storm_current_A;
-      const double t_sample = clock.next();
-      curve.push(t_sample, wf.value(t_sample), fe.sample(i_sig, i_blank));
-      clock.advance();
-    }
-  }
-  return curve;
+  return run(Measurement{run_id, channel, protocol, &fe}).voltammogram;
 }
 
 std::vector<std::size_t> lane_jobs_per_group(
@@ -261,7 +350,8 @@ std::vector<std::size_t> lane_jobs_per_group(
 
 namespace {
 
-/// Which lockstep kernel a measurement can join.
+/// Which lane kernel a measurement runs on: kScalar runs alone on
+/// ProbeLanes, the others join lockstep jobs of their batched kernel.
 enum class LaneKind { kScalar, kOxidaseCa, kCypCv };
 
 LaneKind lane_kind(const Measurement& m) {
@@ -312,174 +402,6 @@ struct LaneJob {
 };
 
 }  // namespace
-
-MeasurementResult MeasurementEngine::run_scalar(const Measurement& m) const {
-  MeasurementResult result;
-  if (const auto* ca = std::get_if<ChronoamperometryProtocol>(&m.protocol)) {
-    result.amperogram =
-        run_chronoamperometry_seeded(m.run_id, m.channel, *ca, *m.frontend);
-  } else {
-    result.voltammogram = run_cyclic_voltammetry_seeded(
-        m.run_id, m.channel, std::get<CyclicVoltammetryProtocol>(m.protocol),
-        *m.frontend);
-  }
-  return result;
-}
-
-void MeasurementEngine::run_ca_lanes(std::span<const Measurement> all,
-                                     std::span<const std::size_t> group,
-                                     const MeasurementSink& sink) const {
-  const std::size_t w = group.size();
-
-  // Per-lane preamble, mirroring run_chronoamperometry_seeded: sensor state
-  // applied to the probe, fresh probe state, front-end drift configured.
-  std::vector<bio::OxidaseProbe*> probes(w);
-  std::vector<const fault::SensorState*> sensors(w);
-  std::vector<double> potentials(w);
-  std::vector<NoiseState> noise;
-  noise.reserve(w);
-  for (std::size_t l = 0; l < w; ++l) {
-    const Measurement& m = all[group[l]];
-    probes[l] = static_cast<bio::OxidaseProbe*>(m.channel.probe);
-    sensors[l] = &m.channel.sensor;
-    potentials[l] = std::get<ChronoamperometryProtocol>(m.protocol).potential;
-    m.channel.probe->apply_sensor_state(m.channel.sensor);
-    m.channel.probe->reset();
-    m.frontend->set_drift(m.channel.sensor.afe_gain,
-                          m.channel.sensor.afe_offset_A);
-    noise.emplace_back(config_, *probes[l], m.run_id,
-                       m.channel.sensor.storm_noise_mult);
-  }
-  bio::OxidaseLaneBatch batch(probes, sensors);
-  afe::Potentiostat pstat(config_.potentiostat);
-
-  // All lanes share duration and sample rate (compatibility), so one
-  // sampling clock and one step count drive every lane.
-  const auto& p0 = std::get<ChronoamperometryProtocol>(all[group[0]].protocol);
-  std::vector<Trace> traces(w);
-  for (Trace& trace : traces) {
-    trace.reserve(
-        static_cast<std::size_t>(std::ceil(p0.duration * p0.sample_rate)) + 1);
-  }
-  SamplingClock clock(p0.sample_rate);
-  const double dt = config_.chem_dt;
-  std::vector<double> i_prev(w, 0.0), e_applied(w), i_far(w);
-  const auto n_steps = static_cast<std::size_t>(std::ceil(p0.duration / dt));
-  for (std::size_t k = 0; k < n_steps; ++k) {
-    const double t = static_cast<double>(k) * dt;
-    for (std::size_t l = 0; l < w; ++l) {
-      e_applied[l] = pstat.applied_potential(potentials[l], i_prev[l],
-                                             config_.cell_impedance) +
-                     sensors[l]->reference_shift_V;
-    }
-    batch.step(e_applied, dt, i_far);
-    for (std::size_t l = 0; l < w; ++l) i_prev[l] = i_far[l];
-
-    if (clock.due(t + dt)) {
-      for (std::size_t l = 0; l < w; ++l) {
-        const double drift = noise[l].step_drift(clock.period);
-        const double i_sig = i_far[l] + noise[l].signal_white() + drift +
-                             sensors[l]->storm_current_A;
-        const double i_blank = probes[l]->blank_current() +
-                               probes[l]->blank_signal_fraction() *
-                                   (i_far[l] - probes[l]->blank_current()) +
-                               noise[l].blank_white() + drift +
-                               sensors[l]->storm_current_A;
-        traces[l].push(clock.next(),
-                       all[group[l]].frontend->sample(i_sig, i_blank));
-      }
-      clock.advance();
-    }
-  }
-  for (std::size_t l = 0; l < w; ++l) {
-    MeasurementResult result;
-    result.amperogram = std::move(traces[l]);
-    sink(group[l], std::move(result));
-  }
-}
-
-void MeasurementEngine::run_cv_lanes(std::span<const Measurement> all,
-                                     std::span<const std::size_t> group,
-                                     const MeasurementSink& sink) const {
-  const std::size_t w = group.size();
-
-  // Per-lane preamble, mirroring run_cyclic_voltammetry_seeded.
-  std::vector<bio::CypProbe*> probes(w);
-  std::vector<const fault::SensorState*> sensors(w);
-  std::vector<NoiseState> noise;
-  noise.reserve(w);
-  for (std::size_t l = 0; l < w; ++l) {
-    const Measurement& m = all[group[l]];
-    probes[l] = static_cast<bio::CypProbe*>(m.channel.probe);
-    sensors[l] = &m.channel.sensor;
-    m.channel.probe->apply_sensor_state(m.channel.sensor);
-    m.channel.probe->reset();
-    m.frontend->set_drift(m.channel.sensor.afe_gain,
-                          m.channel.sensor.afe_offset_A);
-    noise.emplace_back(config_, *probes[l], m.run_id,
-                       m.channel.sensor.storm_noise_mult);
-  }
-  bio::CypLaneBatch batch(probes, sensors);
-  afe::Potentiostat pstat(config_.potentiostat);
-
-  // Every lane runs the identical sweep (compatibility): one waveform, one
-  // sampling clock, one step count.
-  const auto& protocol =
-      std::get<CyclicVoltammetryProtocol>(all[group[0]].protocol);
-  const afe::TriangleWaveform wf(protocol.e_start, protocol.e_vertex,
-                                 protocol.scan_rate, protocol.cycles);
-  std::vector<CvCurve> curves(w);
-  for (CvCurve& curve : curves) {
-    curve.reserve(static_cast<std::size_t>(
-                      std::ceil(wf.duration() * protocol.sample_rate)) +
-                  1);
-  }
-  SamplingClock clock(protocol.sample_rate);
-  const double dt = config_.chem_dt;
-  std::vector<double> i_prev(w, 0.0), e_applied(w), i_true(w);
-  const auto n_steps = static_cast<std::size_t>(std::ceil(wf.duration() / dt));
-  for (std::size_t k = 0; k < n_steps; ++k) {
-    const double t = static_cast<double>(k) * dt;
-    const double e_set = wf.value(t);
-    for (std::size_t l = 0; l < w; ++l) {
-      e_applied[l] =
-          pstat.applied_potential(e_set, i_prev[l], config_.cell_impedance) +
-          sensors[l]->reference_shift_V;
-    }
-    batch.step(e_applied, dt, i_true);
-    for (std::size_t l = 0; l < w; ++l) {
-      const chem::Electrode* electrode = all[group[l]].channel.electrode;
-      if (config_.charging_current && electrode != nullptr) {
-        i_true[l] += electrode->charging_current(
-            protocol.scan_rate * static_cast<double>(wf.direction(t)));
-      }
-      i_prev[l] = i_true[l];
-    }
-
-    if (clock.due(t + dt)) {
-      const double t_sample = clock.next();
-      const double e_sample = wf.value(t_sample);
-      for (std::size_t l = 0; l < w; ++l) {
-        const double drift = noise[l].step_drift(clock.period);
-        const double i_sig = i_true[l] + noise[l].signal_white() + drift +
-                             sensors[l]->storm_current_A;
-        const double i_blank = probes[l]->blank_current() +
-                               probes[l]->blank_signal_fraction() *
-                                   (i_true[l] - probes[l]->blank_current()) +
-                               noise[l].blank_white() + drift +
-                               sensors[l]->storm_current_A;
-        curves[l].push(t_sample, e_sample,
-                       all[group[l]].frontend->sample(i_sig, i_blank));
-      }
-      clock.advance();
-    }
-  }
-  for (std::size_t l = 0; l < w; ++l) {
-    MeasurementResult result;
-    result.voltammogram = std::move(curves[l]);
-    sink(group[l], std::move(result));
-  }
-}
 
 void MeasurementEngine::run_measurements(
     std::span<const Measurement> measurements, std::size_t parallelism,
@@ -549,18 +471,23 @@ void MeasurementEngine::run_measurements(
 
   runner.run(jobs.size(), [&](std::size_t j) {
     const LaneJob& job = jobs[j];
+    LaneRun lanes(config_, measurements, job.members);
     switch (job.kind) {
-      case LaneKind::kScalar: {
-        const std::size_t i = job.members.front();
-        sink(i, run_scalar(measurements[i]));
+      case LaneKind::kScalar:
+        lanes.simulate(ProbeLanes(lanes.probes<bio::Probe>(), {}));
         break;
-      }
       case LaneKind::kOxidaseCa:
-        run_ca_lanes(measurements, job.members, sink);
+        lanes.simulate(bio::OxidaseLaneBatch(
+            lanes.probes<bio::OxidaseProbe>(), lanes.sensors()));
         break;
       case LaneKind::kCypCv:
-        run_cv_lanes(measurements, job.members, sink);
+        lanes.simulate(bio::CypLaneBatch(lanes.probes<bio::CypProbe>(),
+                                         lanes.sensors()));
         break;
+    }
+    std::vector<MeasurementResult> results = lanes.digitise();
+    for (std::size_t l = 0; l < results.size(); ++l) {
+      sink(job.members[l], std::move(results[l]));
     }
   });
 }
@@ -595,14 +522,7 @@ PanelScanResult MeasurementEngine::run_panel(
     slots[c].t_switch = mux.last_switch();
     t_global += mux.spec().settle_time;
     slots[c].t_start = t_global;
-    if (std::holds_alternative<ChronoamperometryProtocol>(protocols[c])) {
-      t_global += std::get<ChronoamperometryProtocol>(protocols[c]).duration;
-    } else {
-      const auto& p = std::get<CyclicVoltammetryProtocol>(protocols[c]);
-      const afe::TriangleWaveform wf(p.e_start, p.e_vertex, p.scan_rate,
-                                     p.cycles);
-      t_global += wf.duration();
-    }
+    t_global += protocol_duration(protocols[c]);
     slots[c].t_stop = t_global;
     measurements[c] = Measurement{base_id + c + 1, channels[c], protocols[c],
                                   frontends[c]};

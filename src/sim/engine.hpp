@@ -118,6 +118,20 @@ struct EngineConfig {
 
 /// Executes protocols against channels through an analog front end.
 ///
+/// One measurement loop: every run -- a single `_seeded` measurement or a
+/// lane group of run_measurements -- is one lockstep loop over W lanes
+/// that share a timeline, generic over a lane kernel with
+/// `step(span<const double> e, double dt, span<double> i_out)`. Three
+/// kernels exist: bio::OxidaseLaneBatch (CA on oxidase probes),
+/// bio::CypLaneBatch (CV on CYP films) and a fallback that calls each
+/// lane's Probe::step (direct probes, and every measurement at width 1).
+/// The loop steps physics first -- per-lane setpoint, reference shift,
+/// charging current on sweeps, potentiostat load, drift and white noise --
+/// and records each lane's raw signal and blank currents; only then does
+/// each lane's front end digitise its samples, in run order. Nothing the
+/// front end does feeds back into the physics (the potentiostat regulates
+/// on the faradaic current), so the split is bit-exact.
+///
 /// Concurrency model: every measurement derives its noise realisation from
 /// an explicit *run id* (seed = config.seed + run_id * stride). The
 /// convenience overloads draw ids from an internal counter -- the legacy
@@ -154,14 +168,23 @@ class MeasurementEngine {
       const CyclicVoltammetryProtocol& protocol,
       afe::AnalogFrontEnd& fe) const;
 
-  /// Run independent measurements, in lockstep lanes where they are
-  /// compatible (see EngineConfig::batch_lanes and lane_jobs_per_group)
-  /// and scalar otherwise, over `parallelism` workers (0 = hardware). Each
-  /// result is bitwise identical to the `_seeded` entry point with the same
-  /// run id, whatever the lane width, lane order or parallelism; `sink`
-  /// receives it as soon as its job finishes. Probes and front ends must be
-  /// distinct across measurements. If measurements throw, the error of the
-  /// lowest-numbered failing job is rethrown after every job finished.
+  /// One measurement under either protocol: the `_seeded` entry point its
+  /// protocol names, with the result in the matching field.
+  MeasurementResult run(const Measurement& m) const;
+
+  /// Run independent measurements over `parallelism` workers (0 =
+  /// hardware). Compatible measurements share a lockstep job of the
+  /// OxidaseLaneBatch or CypLaneBatch kernel (see EngineConfig::batch_lanes
+  /// and lane_jobs_per_group); every other measurement is its own job at
+  /// width 1 on the Probe::step fallback. Those stay width 1 on purpose:
+  /// the fallback steps each lane's probe on its own, so a wider job would
+  /// save no solver work and only serialise independent measurements
+  /// (direct-probe reads, say) onto one worker. Each result is bitwise
+  /// identical to run() with the same measurement, whatever the lane
+  /// width, lane order or parallelism; `sink` receives it as soon as its
+  /// job finishes. Probes and front ends must be distinct across
+  /// measurements. If measurements throw, the error of the lowest-numbered
+  /// failing job is rethrown after every job finished.
   void run_measurements(std::span<const Measurement> measurements,
                         std::size_t parallelism,
                         const MeasurementSink& sink) const;
@@ -189,19 +212,6 @@ class MeasurementEngine {
   const EngineConfig& config() const { return config_; }
 
  private:
-  struct NoiseState;
-  /// One measurement on the scalar path.
-  MeasurementResult run_scalar(const Measurement& m) const;
-  /// Lockstep runs of compatible measurements (indices into `all`): CA on
-  /// oxidase probes and CV on CYP probes. Each hands every lane's result
-  /// to `sink`, bitwise identical to run_scalar.
-  void run_ca_lanes(std::span<const Measurement> all,
-                    std::span<const std::size_t> group,
-                    const MeasurementSink& sink) const;
-  void run_cv_lanes(std::span<const Measurement> all,
-                    std::span<const std::size_t> group,
-                    const MeasurementSink& sink) const;
-
   EngineConfig config_;
   std::uint64_t run_counter_ = 0;
 };

@@ -91,10 +91,8 @@ std::uint64_t simd_digest(std::uint64_t seed, std::size_t parallelism) {
   // groups, plus a cholesterol CYP sweep that stays scalar -- scanned at
   // lane widths 1 / 2 / 4 / auto(hw); all four scans must digest
   // bitwise-identically at every seed and parallelism level. Width 1 *is*
-  // the pre-batching scalar path, so this pins the batched kernel to the
-  // legacy bit pattern -- with IDP_SIMD ON and OFF producing the same
-  // digests, because -ffp-contract=off leaves vectorized IEEE-754 division
-  // and multiply/add exactly rounded, hence bit-equal lane-wise.
+  // the scalar path, so this pins the batched kernel to the legacy bit
+  // pattern.
   struct Panel {
     std::vector<bio::ProbePtr> probes;
     Panel() {

@@ -254,10 +254,14 @@ TEST(Engine, LaneRuleKeepsEveryWorkerBusy) {
 }
 
 TEST(Engine, LaneBatchedMeasurementsMatchScalarAtEveryWidth) {
-  // A mixed list: two CA lane classes (different durations), CYP sweeps
-  // of two protocols, and measurements no kernel batches (a direct
-  // probe, an oxidase under CV). Every width and parallelism must give
-  // the scalar results bit for bit, in index order.
+  // A mixed list: two CA lane classes (different durations; the short one
+  // mixes two potentials in one lane group), CYP sweeps of two protocols
+  // (one with a working electrode, so its lane adds charging current), a
+  // stressed sensor state (reference shift, interference storm, AFE gain
+  // and offset) on every third measurement, and measurements no kernel
+  // batches (direct probes under CA and CV, an oxidase under CV). Every
+  // width and parallelism must give the scalar results bit for bit, in
+  // index order.
   const bio::TargetId ca_targets[] = {
       bio::TargetId::kGlucose, bio::TargetId::kLactate,
       bio::TargetId::kGlutamate, bio::TargetId::kGlucose,
@@ -266,9 +270,11 @@ TEST(Engine, LaneBatchedMeasurementsMatchScalarAtEveryWidth) {
       bio::TargetId::kBenzphetamine, bio::TargetId::kClozapine,
       bio::TargetId::kCholesterol, bio::TargetId::kBenzphetamine,
       bio::TargetId::kErythromycin, bio::TargetId::kClozapine};
-  ChronoamperometryProtocol ca_short, ca_long;
+  ChronoamperometryProtocol ca_short, ca_short_high, ca_long;
   ca_short.potential = 550_mV;
   ca_short.duration = 2.0;
+  ca_short_high = ca_short;
+  ca_short_high.potential = 650_mV;
   ca_long.potential = 600_mV;
   ca_long.duration = 3.0;
   CyclicVoltammetryProtocol cv_a, cv_b;
@@ -277,6 +283,21 @@ TEST(Engine, LaneBatchedMeasurementsMatchScalarAtEveryWidth) {
   cv_a.scan_rate = 0.1;
   cv_b = cv_a;
   cv_b.e_vertex = -0.45;
+  const chem::Electrode we(chem::ElectrodeRole::kWorking,
+                           chem::ElectrodeMaterial::kGold,
+                           chem::ElectrodeGeometry{0.23e-6},
+                           chem::Nanostructure::kCarbonNanotube);
+  fault::SensorState aged;
+  aged.enzyme_activity = 0.9;
+  aged.membrane_transmission = 0.8;
+  // -80 mV pulls an oxidase off its current plateau, so a lane that
+  // dropped the shift would differ after the ADC.
+  fault::SensorState stressed = aged;
+  stressed.reference_shift_V = -0.08;
+  stressed.storm_current_A = 3e-9;
+  stressed.storm_noise_mult = 2.5;
+  stressed.afe_gain = 1.04;
+  stressed.afe_offset_A = -2e-10;
 
   auto run = [&](std::size_t lanes, std::size_t parallelism) {
     EngineConfig config;
@@ -285,25 +306,29 @@ TEST(Engine, LaneBatchedMeasurementsMatchScalarAtEveryWidth) {
     std::vector<bio::ProbePtr> probes;
     std::vector<std::unique_ptr<afe::AnalogFrontEnd>> fes;
     std::vector<Measurement> measurements;
-    auto add = [&](bio::TargetId id, const ChannelProtocol& protocol) {
+    auto add = [&](bio::TargetId id, const ChannelProtocol& protocol,
+                   const chem::Electrode* electrode = nullptr) {
       probes.push_back(bio::make_probe(id));
       probes.back()->set_bulk_concentration(bio::to_string(id), 0.01);
       fes.push_back(std::make_unique<afe::AnalogFrontEnd>(
           lab_frontend(measurements.size()).config()));
-      fault::SensorState sensor;
-      sensor.enzyme_activity = 0.9;
-      sensor.membrane_transmission = 0.8;
       measurements.push_back(Measurement{
-          40 + measurements.size(), Channel{probes.back().get(), nullptr,
-                                            sensor},
+          40 + measurements.size(),
+          Channel{probes.back().get(), electrode,
+                  measurements.size() % 3 == 2 ? stressed : aged},
           protocol, fes.back().get()});
     };
     for (std::size_t i = 0; i < 6; ++i) {
-      add(ca_targets[i], i % 2 == 0 ? ca_short : ca_long);
-      add(cv_targets[i], i < 4 ? cv_a : cv_b);
+      add(ca_targets[i], i % 2 == 0 ? (i == 2 ? ca_short_high : ca_short)
+                                    : ca_long);
+      add(cv_targets[i], i < 4 ? cv_a : cv_b, i == 1 ? &we : nullptr);
     }
     add(bio::TargetId::kDopamine, cv_a);
     add(bio::TargetId::kGlucose, cv_a);
+    add(bio::TargetId::kDopamine, ca_short);
+    add(bio::TargetId::kEtoposide, ca_short);
+    add(bio::TargetId::kGlucose, ca_short_high);
+    add(bio::TargetId::kLactate, ca_short_high);
     std::vector<MeasurementResult> results(measurements.size());
     engine.run_measurements(measurements, parallelism,
                             [&](std::size_t i, MeasurementResult&& r) {
