@@ -3,7 +3,8 @@
 /// kernel (scalar and SoA lane-batched), a single diffusion-field step,
 /// single-channel CA/CV runs, the multiplexed panel scan at several
 /// (parallelism, lane width) points, replayed CYP reads in lockstep lanes
-/// of width 1..8 and a full design-space exploration.
+/// of width 1..8, one calibration campaign per lane kernel and a full
+/// design-space exploration.
 /// Writes google-benchmark JSON to
 /// BENCH_hot_path.json (override with --benchmark_out=...) so successive
 /// PRs accumulate a measurable performance history.
@@ -25,6 +26,7 @@
 #include "chem/tridiag.hpp"
 #include "core/explorer.hpp"
 #include "core/panel.hpp"
+#include "fault/sensor_state.hpp"
 #include "quant/calibration_store.hpp"
 #include "sim/engine.hpp"
 #include "util/thread_pool.hpp"
@@ -305,6 +307,44 @@ BENCHMARK(BM_CypLanes)
     ->Arg(4)
     ->Arg(8)
     ->ArgName("lanes")
+    ->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------------------- campaigns
+
+/// One recalibration campaign per iteration -- 4 blanks and 4 sweep points
+/// with 1 s chronoamperometry, the serve benches' short protocol -- on an
+/// aged sensor, for an oxidase (glucose, CA), a CYP (benzphetamine, CV) and
+/// a direct (dopamine, CA) target. Each campaign is one lane group through
+/// the target's batched kernel, digitised in run order by one front end.
+void BM_Campaign(benchmark::State& state) {
+  const bio::TargetId targets[] = {bio::TargetId::kGlucose,
+                                   bio::TargetId::kBenzphetamine,
+                                   bio::TargetId::kDopamine};
+  const bio::TargetId target = targets[state.range(0)];
+  quant::CampaignConfig config;
+  config.calibration_points = 4;
+  config.blank_measurements = 4;
+  config.ca_duration_s = 1.0;
+  const quant::CalibrationStore store(config);
+  const sim::ChannelProtocol protocol =
+      quant::default_protocol_for(config, target);
+  fault::SensorState sensor;
+  sensor.age_days = 5.0;
+  sensor.enzyme_activity = 0.9;
+  sensor.membrane_transmission = 0.85;
+  sensor.afe_gain = 1.02;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        store
+            .recalibrate(target, protocol, sensor,
+                         quant::CalibrationStore::kRunsPerCampaignBlock)
+            .quantifier.slope());
+  }
+  state.SetLabel(bio::to_string(target));
+}
+BENCHMARK(BM_Campaign)
+    ->DenseRange(0, 2)
+    ->ArgName("target")
     ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------- explorer

@@ -52,6 +52,9 @@ class DirectProbe final : public Probe {
   double blank_signal_fraction() const override { return 0.9; }
 
   double applied_potential() const { return params_.applied_potential; }
+  const DirectProbeParams& params() const { return params_; }
+  /// The redox couple's two diffusion fields and their bulk values.
+  const chem::SolutionRedoxSystem& system() const { return system_; }
 
  private:
   DirectProbeParams params_;

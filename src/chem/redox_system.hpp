@@ -49,6 +49,10 @@ class SolutionRedoxSystem {
   double ox_at_electrode() const { return ox_.at_electrode(); }
   const RedoxCouple& couple() const { return config_.couple; }
   double area() const { return config_.area; }
+  /// Current configuration, bulk concentrations included.
+  const SolutionRedoxConfig& config() const { return config_; }
+  /// The grid both fields share (node 0 = electrode surface).
+  const Grid1D& grid() const { return red_.grid(); }
 
  private:
   SolutionRedoxConfig config_;

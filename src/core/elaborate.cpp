@@ -167,30 +167,26 @@ dsp::CalibrationCurve ElaboratedPlatform::calibrate_seeded(
   const std::size_t e = electrode_of(target);
   bio::Probe& probe = *probes_[e];
   ElectrodeRuntime& rt = runtimes_[e];
-  const std::string name = bio::to_string(target);
 
-  // Zero every co-target so calibrations are independent.
+  // Zero every co-target so calibrations are independent; the campaign's
+  // runs measure clones of the zeroed probe.
   for (const auto& t : probe.targets()) probe.set_bulk_concentration(t, 0.0);
-
-  std::uint64_t next_id = run_id_base;
-  auto run_once = [&]() -> double {
-    const std::uint64_t run_id = ++next_id;
-    const sim::MeasurementResult result = engine_.run(
-        {run_id, sim::Channel{&probe, &rt.electrode}, rt.protocol,
-         &rt.frontend});
-    return response_of(target, e, result.amperogram, result.voltammogram);
-  };
+  const auto blanks =
+      static_cast<std::size_t>(std::max(options_.blank_measurements, 0));
+  const std::vector<sim::MeasurementResult> runs = engine_.run_campaign(
+      {&probe, bio::to_string(target), blanks, concentrations, &rt.electrode,
+       fault::SensorState{}, rt.protocol, &rt.frontend, run_id_base});
 
   dsp::CalibrationCurve curve;
-  probe.set_bulk_concentration(name, 0.0);
-  for (int b = 0; b < options_.blank_measurements; ++b) {
-    curve.add_blank(run_once());
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const double response =
+        response_of(target, e, runs[r].amperogram, runs[r].voltammogram);
+    if (r < blanks) {
+      curve.add_blank(response);
+    } else {
+      curve.add_point(concentrations[r - blanks], response);
+    }
   }
-  for (double c : concentrations) {
-    probe.set_bulk_concentration(name, c);
-    curve.add_point(c, run_once());
-  }
-  probe.set_bulk_concentration(name, 0.0);
   return curve;
 }
 

@@ -41,6 +41,8 @@ class CalibrationCurve {
   std::size_t distinct_concentration_count() const;
   const std::vector<double>& concentrations() const { return c_; }
   const std::vector<double>& responses() const { return v_; }
+  /// Blank responses in the order they were added.
+  const std::vector<double>& blanks() const { return blanks_; }
 
   /// Mean of the blank measurements (Vb). Requires >= 1 blank.
   double blank_mean() const;

@@ -120,39 +120,37 @@ Calibration CalibrationStore::build_calibration(
     const fault::SensorState& sensor, std::uint64_t first_run_id,
     std::uint64_t frontend_seed) const {
   const bio::TargetSpec& spec = bio::spec(target);
-  bio::ProbePtr probe = make_campaign_probe(config_, target);
-  afe::AnalogFrontEnd frontend(
-      campaign_frontend_config(config_, frontend_seed));
-  const std::string name = bio::to_string(target);
-
-  std::uint64_t next_id = first_run_id;
-  auto run_once = [&]() -> double {
-    const std::uint64_t run_id = ++next_id;
-    const sim::MeasurementResult result = engine_.run(
-        {run_id, sim::Channel{probe.get(), nullptr, sensor}, protocol,
-         &frontend});
-    return panel_response(target, result.amperogram, result.voltammogram);
-  };
-
-  Calibration calibration;
-  probe->set_bulk_concentration(name, 0.0);
-  for (int b = 0; b < config_.blank_measurements; ++b) {
-    calibration.curve.add_blank(run_once());
-  }
-
   // Concentration sweep across the probe's specified linear range
   // (mM == mol/m^3), endpoints included.
   const double lo = std::max(spec.linear_lo_mM, 1e-6);
   const double hi = spec.linear_hi_mM;
   util::ensure(hi > lo, "probe spec has a degenerate linear range");
   const int n = config_.calibration_points;
+  std::vector<double> concentrations;
+  concentrations.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const double f = static_cast<double>(i) / static_cast<double>(n - 1);
-    const double c = lo + f * (hi - lo);
-    probe->set_bulk_concentration(name, c);
-    calibration.curve.add_point(c, run_once());
+    concentrations.push_back(lo + f * (hi - lo));
   }
 
+  const bio::ProbePtr probe = make_campaign_probe(config_, target);
+  afe::AnalogFrontEnd frontend(
+      campaign_frontend_config(config_, frontend_seed));
+  const auto blanks = static_cast<std::size_t>(config_.blank_measurements);
+  const std::vector<sim::MeasurementResult> runs = engine_.run_campaign(
+      {probe.get(), bio::to_string(target), blanks, concentrations, nullptr,
+       sensor, protocol, &frontend, first_run_id});
+
+  Calibration calibration;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const double response =
+        panel_response(target, runs[r].amperogram, runs[r].voltammogram);
+    if (r < blanks) {
+      calibration.curve.add_blank(response);
+    } else {
+      calibration.curve.add_point(concentrations[r - blanks], response);
+    }
+  }
   calibration.quantifier = Quantifier(calibration.curve, config_.quantifier);
   return calibration;
 }

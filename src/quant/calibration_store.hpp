@@ -7,7 +7,7 @@
 /// dsp::CalibrationCurve and inverted into a quant::Quantifier.
 ///
 /// Determinism: every campaign derives its run ids from the target alone
-/// (disjoint blocks) and owns its probe and front end, so curves are
+/// (disjoint blocks) and owns its probes and front end, so curves are
 /// bitwise reproducible no matter in which order, from which thread, or at
 /// which parallelism level the store builds them.
 #pragma once
@@ -130,8 +130,9 @@ class CalibrationStore {
   using Entry = Calibration;
   using Key = std::pair<bio::TargetId, std::string>;
 
-  /// Shared campaign core: blanks + concentration sweep through one probe
-  /// and front end, fitted and inverted (no cache interaction).
+  /// Shared campaign core: blanks + concentration sweep as one lane group
+  /// (MeasurementEngine::run_campaign) through one front end, fitted and
+  /// inverted (no cache interaction).
   Calibration build_calibration(bio::TargetId target,
                                 const sim::ChannelProtocol& protocol,
                                 const fault::SensorState& sensor,

@@ -8,10 +8,14 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
+#include <utility>
 
 #include "afe/waveform.hpp"
 #include "bio/cyp_batch.hpp"
 #include "bio/cyp_probe.hpp"
+#include "bio/direct_batch.hpp"
+#include "bio/direct_probe.hpp"
 #include "bio/oxidase_batch.hpp"
 #include "bio/oxidase_probe.hpp"
 #include "sim/batch.hpp"
@@ -76,7 +80,8 @@ double sample_rate_of(const ChannelProtocol& p) {
 }
 
 /// The fallback lane kernel: every lane steps its own probe through
-/// Probe::step (a DirectProbe, or any measurement no batched kernel takes).
+/// Probe::step (every measurement at width 1, and any no batched kernel
+/// takes).
 /// It also applies a run's timed injections, to every lane, at the first
 /// step starting at or after their time.
 class ProbeLanes {
@@ -132,7 +137,6 @@ class LaneRun {
       const fault::SensorState& sensor = m.channel.sensor;
       probe.apply_sensor_state(sensor);
       probe.reset();
-      m.frontend->set_drift(sensor.afe_gain, sensor.afe_offset_A);
       noise_.emplace_back(config, probe, m.run_id, sensor.storm_noise_mult);
       probes_.push_back(&probe);
       sensors_.push_back(&sensor);
@@ -221,11 +225,15 @@ class LaneRun {
 
   /// Digitise each lane's raw samples through its own front end, in run
   /// order: lane l's result is the amperogram (CA) or voltammogram (CV).
+  /// Each lane's front-end drift is set just before that lane is digitised,
+  /// so lanes sharing one front end (a campaign's) each read through their
+  /// own sensor state, exactly as one run after another would.
   std::vector<MeasurementResult> digitise() const {
     const std::size_t w = probes_.size();
     std::vector<MeasurementResult> results(w);
     for (std::size_t l = 0; l < w; ++l) {
       afe::AnalogFrontEnd& fe = *all_[group_[l]].frontend;
+      fe.set_drift(sensors_[l]->afe_gain, sensors_[l]->afe_offset_A);
       MeasurementResult& r = results[l];
       r.amperogram.reserve(sweep_ ? 0 : t_.size());
       r.voltammogram.reserve(sweep_ ? t_.size() : 0);
@@ -352,46 +360,107 @@ namespace {
 
 /// Which lane kernel a measurement runs on: kScalar runs alone on
 /// ProbeLanes, the others join lockstep jobs of their batched kernel.
-enum class LaneKind { kScalar, kOxidaseCa, kCypCv };
+enum class LaneKind { kScalar, kOxidaseCa, kDirectCa, kCypCv };
 
 LaneKind lane_kind(const Measurement& m) {
+  const bio::Probe* probe = m.channel.probe;
   if (const auto* ca = std::get_if<ChronoamperometryProtocol>(&m.protocol)) {
     // Invalid protocols stay scalar, where the seeded entry point rejects
     // them with its own message.
-    if (ca->duration > 0.0 && ca->sample_rate > 0.0 &&
-        dynamic_cast<const bio::OxidaseProbe*>(m.channel.probe) != nullptr) {
+    if (ca->duration <= 0.0 || ca->sample_rate <= 0.0) return LaneKind::kScalar;
+    if (dynamic_cast<const bio::OxidaseProbe*>(probe) != nullptr) {
       return LaneKind::kOxidaseCa;
+    }
+    if (dynamic_cast<const bio::DirectProbe*>(probe) != nullptr) {
+      return LaneKind::kDirectCa;
     }
     return LaneKind::kScalar;
   }
   const auto& cv = std::get<CyclicVoltammetryProtocol>(m.protocol);
   if (cv.sample_rate > 0.0 &&
-      dynamic_cast<const bio::CypProbe*>(m.channel.probe) != nullptr) {
+      dynamic_cast<const bio::CypProbe*>(probe) != nullptr) {
     return LaneKind::kCypCv;
   }
   return LaneKind::kScalar;
 }
 
-/// True when two measurements of the same lane kind can step in lockstep:
-/// one step loop and sampling clock (CA: same duration and sample rate; CV:
-/// the identical sweep) over node-identical grids.
-bool lane_compatible(LaneKind kind, const Measurement& a, const Measurement& b) {
-  if (kind == LaneKind::kOxidaseCa) {
-    const auto& pa = std::get<ChronoamperometryProtocol>(a.protocol);
-    const auto& pb = std::get<ChronoamperometryProtocol>(b.protocol);
-    return pa.duration == pb.duration && pa.sample_rate == pb.sample_rate &&
-           bio::OxidaseLaneBatch::compatible(
-               static_cast<const bio::OxidaseProbe&>(*a.channel.probe),
-               static_cast<const bio::OxidaseProbe&>(*b.channel.probe));
+/// True when two measurements share one step loop and sampling clock -- CA:
+/// same duration and sample rate; CV: the identical sweep.
+bool same_timeline(const Measurement& a, const Measurement& b) {
+  if (const auto* pa = std::get_if<ChronoamperometryProtocol>(&a.protocol)) {
+    const auto* pb = std::get_if<ChronoamperometryProtocol>(&b.protocol);
+    return pb != nullptr && pa->duration == pb->duration &&
+           pa->sample_rate == pb->sample_rate;
   }
   const auto& pa = std::get<CyclicVoltammetryProtocol>(a.protocol);
-  const auto& pb = std::get<CyclicVoltammetryProtocol>(b.protocol);
-  return pa.e_start == pb.e_start && pa.e_vertex == pb.e_vertex &&
-         pa.scan_rate == pb.scan_rate && pa.cycles == pb.cycles &&
-         pa.sample_rate == pb.sample_rate &&
-         bio::CypLaneBatch::compatible(
-             static_cast<const bio::CypProbe&>(*a.channel.probe),
-             static_cast<const bio::CypProbe&>(*b.channel.probe));
+  const auto* pb = std::get_if<CyclicVoltammetryProtocol>(&b.protocol);
+  return pb != nullptr && pa.e_start == pb->e_start &&
+         pa.e_vertex == pb->e_vertex && pa.scan_rate == pb->scan_rate &&
+         pa.cycles == pb->cycles && pa.sample_rate == pb->sample_rate;
+}
+
+/// The kernel's own compatibility rule (node-identical grids) for two
+/// probes of its type.
+template <class Kernel, class P>
+bool kernel_compatible(const Measurement& a, const Measurement& b) {
+  return Kernel::compatible(static_cast<const P&>(*a.channel.probe),
+                            static_cast<const P&>(*b.channel.probe));
+}
+
+/// True when two measurements of the same lane kind can step in lockstep:
+/// one timeline over node-identical grids.
+bool lane_compatible(LaneKind kind, const Measurement& a, const Measurement& b) {
+  if (!same_timeline(a, b)) return false;
+  switch (kind) {
+    case LaneKind::kOxidaseCa:
+      return kernel_compatible<bio::OxidaseLaneBatch, bio::OxidaseProbe>(a, b);
+    case LaneKind::kDirectCa:
+      return kernel_compatible<bio::DirectLaneBatch, bio::DirectProbe>(a, b);
+    case LaneKind::kCypCv:
+      return kernel_compatible<bio::CypLaneBatch, bio::CypProbe>(a, b);
+    case LaneKind::kScalar:
+      break;
+  }
+  return false;
+}
+
+/// The sharing contract of run_measurements. A probe holds one
+/// measurement's physics state, so no two measurements may share one. A
+/// front end carries a noise stream every sample advances, so measurements
+/// may share one only where the engine digitises them in index order: at
+/// parallelism 1 and within one lane group (`group_of[i]`, the measurements
+/// no kernel batches counting as one group).
+void check_sharing(std::span<const Measurement> measurements,
+                   std::span<const std::size_t> group_of,
+                   std::size_t parallelism) {
+  std::vector<std::pair<const void*, std::size_t>> probes, frontends;
+  for (std::size_t i = 0; i < measurements.size(); ++i) {
+    probes.emplace_back(measurements[i].channel.probe, i);
+    frontends.emplace_back(measurements[i].frontend, i);
+  }
+  std::sort(probes.begin(), probes.end());
+  std::sort(frontends.begin(), frontends.end());
+  // Messages are built only on failure: this runs before every batch.
+  const auto fail = [](const char* what, std::size_t a, std::size_t b) {
+    util::ensure(false, std::string(what) + " (measurements " +
+                            std::to_string(a) + " and " + std::to_string(b) +
+                            ")");
+  };
+  for (std::size_t k = 1; k < probes.size(); ++k) {
+    if (probes[k].first == probes[k - 1].first) {
+      fail("probe shared by two measurements", probes[k - 1].second,
+           probes[k].second);
+    }
+  }
+  for (std::size_t k = 1; k < frontends.size(); ++k) {
+    if (frontends[k].first != frontends[k - 1].first) continue;
+    const std::size_t a = frontends[k - 1].second;
+    const std::size_t b = frontends[k].second;
+    if (parallelism != 1) fail("front end shared at parallelism != 1", a, b);
+    if (group_of[a] != group_of[b]) {
+      fail("front end shared across lane groups", a, b);
+    }
+  }
 }
 
 /// One job of a lane-batched run: a lockstep chunk, or one scalar
@@ -412,18 +481,20 @@ void MeasurementEngine::run_measurements(
   }
 
   // Gather compatible measurements into lane groups, in first-appearance
-  // order. Grouping is a pure function of the inputs, and lane membership
-  // cannot leak into results (every measurement's randomness is seeded by
-  // its own run id), so every grouping yields bitwise-identical results.
+  // order. Grouping is a pure function of the inputs (the lane width only
+  // decides how groups split into jobs), and lane membership cannot leak
+  // into results (every measurement's randomness is seeded by its own run
+  // id), so every grouping yields bitwise-identical results.
   const std::size_t max_width =
       config_.batch_lanes == 0 ? kMaxAutoLanes : config_.batch_lanes;
   std::vector<LaneJob> groups;
   std::vector<std::size_t> scalar;
+  std::vector<std::size_t> group_of(measurements.size());
   for (std::size_t i = 0; i < measurements.size(); ++i) {
-    const LaneKind kind =
-        max_width < 2 ? LaneKind::kScalar : lane_kind(measurements[i]);
+    const LaneKind kind = lane_kind(measurements[i]);
     if (kind == LaneKind::kScalar) {
       scalar.push_back(i);
+      group_of[i] = measurements.size();  // beyond every group index
       continue;
     }
     const auto group = std::find_if(
@@ -432,12 +503,14 @@ void MeasurementEngine::run_measurements(
                  lane_compatible(kind, measurements[g.members.front()],
                                  measurements[i]);
         });
+    group_of[i] = static_cast<std::size_t>(group - groups.begin());
     if (group == groups.end()) {
       groups.push_back({kind, {i}});
     } else {
       group->members.push_back(i);
     }
   }
+  check_sharing(measurements, group_of, parallelism);
 
   // Split each group into near-equal lockstep chunks per the lane-width
   // rule; lane jobs go first (they run longest), scalar ones after.
@@ -480,6 +553,9 @@ void MeasurementEngine::run_measurements(
         lanes.simulate(bio::OxidaseLaneBatch(
             lanes.probes<bio::OxidaseProbe>(), lanes.sensors()));
         break;
+      case LaneKind::kDirectCa:
+        lanes.simulate(bio::DirectLaneBatch(lanes.probes<bio::DirectProbe>()));
+        break;
       case LaneKind::kCypCv:
         lanes.simulate(bio::CypLaneBatch(lanes.probes<bio::CypProbe>(),
                                          lanes.sensors()));
@@ -490,6 +566,32 @@ void MeasurementEngine::run_measurements(
       sink(job.members[l], std::move(results[l]));
     }
   });
+}
+
+std::vector<MeasurementResult> MeasurementEngine::run_campaign(
+    const Campaign& campaign) const {
+  util::require(campaign.prototype != nullptr, "campaign has no probe");
+  const std::size_t n = campaign.blanks + campaign.concentrations.size();
+  std::vector<bio::ProbePtr> probes;
+  std::vector<Measurement> measurements;
+  probes.reserve(n);
+  measurements.reserve(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t b = campaign.blanks;
+    probes.push_back(campaign.prototype->clone());
+    probes.back()->set_bulk_concentration(
+        campaign.target, r < b ? 0.0 : campaign.concentrations[r - b]);
+    measurements.push_back(Measurement{
+        campaign.first_run_id + r + 1,
+        Channel{probes.back().get(), campaign.electrode, campaign.sensor},
+        campaign.protocol, campaign.frontend});
+  }
+  std::vector<MeasurementResult> results(n);
+  run_measurements(measurements, 1,
+                   [&](std::size_t r, MeasurementResult&& result) {
+                     results[r] = std::move(result);
+                   });
+  return results;
 }
 
 PanelScanResult MeasurementEngine::run_panel(

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "afe/frontend.hpp"
@@ -68,6 +69,23 @@ struct MeasurementResult {
   CvCurve voltammogram;
 };
 
+/// One calibration campaign's measurements: Eq. 5 blank repeats, then a
+/// concentration sweep of one target, all through one shared front end.
+struct Campaign {
+  /// Cloned once per run (never stepped itself); every other target keeps
+  /// the concentration set on it.
+  const bio::Probe* prototype = nullptr;
+  std::string target;                  ///< the swept target
+  std::size_t blanks = 0;              ///< zero-concentration runs, first
+  std::span<const double> concentrations;  ///< one run each, after the blanks
+  const chem::Electrode* electrode = nullptr;  ///< optional: i_dl on sweeps
+  fault::SensorState sensor{};
+  ChannelProtocol protocol;
+  afe::AnalogFrontEnd* frontend = nullptr;  ///< non-owning, shared by every run
+  /// Run r (0-based) uses run id first_run_id + r + 1.
+  std::uint64_t first_run_id = 0;
+};
+
 /// Receives measurement `index`'s result on the worker thread that ran it.
 using MeasurementSink =
     std::function<void(std::size_t index, MeasurementResult&& result)>;
@@ -102,11 +120,12 @@ struct EngineConfig {
   double drift_scale = 1.0;
   double drift_tau = 60.0;     ///< [s]
   /// Widest lockstep job of the batched SoA kernels: compatible
-  /// measurements -- chronoamperometry on oxidase probes with node-identical
-  /// grids and the same duration and sample rate, or cyclic voltammetry on
-  /// CYP probes with node-identical grids and an identical protocol -- are
-  /// gathered in jobs of up to this many measurements and stepped through
-  /// one structure-of-arrays tridiagonal solve (see lane_jobs_per_group).
+  /// measurements -- chronoamperometry on oxidase or direct probes with
+  /// node-identical grids and the same duration and sample rate, or cyclic
+  /// voltammetry on CYP probes with node-identical grids and an identical
+  /// protocol -- are gathered in jobs of up to this many measurements and
+  /// stepped through one structure-of-arrays tridiagonal solve (see
+  /// lane_jobs_per_group).
   /// 0 = automatic (up to 8); 1 disables cross-measurement batching (the
   /// scalar path). Results are bitwise identical at every width -- the
   /// kernel-equivalence property tests and the `simd` and `cyp`
@@ -121,10 +140,11 @@ struct EngineConfig {
 /// One measurement loop: every run -- a single `_seeded` measurement or a
 /// lane group of run_measurements -- is one lockstep loop over W lanes
 /// that share a timeline, generic over a lane kernel with
-/// `step(span<const double> e, double dt, span<double> i_out)`. Three
+/// `step(span<const double> e, double dt, span<double> i_out)`. Four
 /// kernels exist: bio::OxidaseLaneBatch (CA on oxidase probes),
-/// bio::CypLaneBatch (CV on CYP films) and a fallback that calls each
-/// lane's Probe::step (direct probes, and every measurement at width 1).
+/// bio::DirectLaneBatch (CA on direct-oxidation probes), bio::CypLaneBatch
+/// (CV on CYP films) and a fallback that calls each lane's Probe::step
+/// (every measurement at width 1, and any no batched kernel takes).
 /// The loop steps physics first -- per-lane setpoint, reference shift,
 /// charging current on sweeps, potentiostat load, drift and white noise --
 /// and records each lane's raw signal and blank currents; only then does
@@ -137,9 +157,10 @@ struct EngineConfig {
 /// convenience overloads draw ids from an internal counter -- the legacy
 /// sequential behaviour -- while the `_seeded` variants take the id from the
 /// caller and are `const`, so independent measurements (distinct probes and
-/// front ends) can execute concurrently on one engine. `reserve_run_ids`
-/// hands out a contiguous id block up front, which keeps batched results
-/// bitwise identical to sequential execution at any parallelism.
+/// front ends) can execute concurrently on one engine; run_measurements
+/// enforces that contract. `reserve_run_ids` hands out a contiguous id
+/// block up front, which keeps batched results bitwise identical to
+/// sequential execution at any parallelism.
 class MeasurementEngine {
  public:
   explicit MeasurementEngine(EngineConfig config = EngineConfig{});
@@ -173,21 +194,37 @@ class MeasurementEngine {
   MeasurementResult run(const Measurement& m) const;
 
   /// Run independent measurements over `parallelism` workers (0 =
-  /// hardware). Compatible measurements share a lockstep job of the
-  /// OxidaseLaneBatch or CypLaneBatch kernel (see EngineConfig::batch_lanes
-  /// and lane_jobs_per_group); every other measurement is its own job at
-  /// width 1 on the Probe::step fallback. Those stay width 1 on purpose:
-  /// the fallback steps each lane's probe on its own, so a wider job would
-  /// save no solver work and only serialise independent measurements
-  /// (direct-probe reads, say) onto one worker. Each result is bitwise
-  /// identical to run() with the same measurement, whatever the lane
-  /// width, lane order or parallelism; `sink` receives it as soon as its
-  /// job finishes. Probes and front ends must be distinct across
-  /// measurements. If measurements throw, the error of the lowest-numbered
-  /// failing job is rethrown after every job finished.
+  /// hardware). Compatible measurements form one lane group and share
+  /// lockstep jobs of the OxidaseLaneBatch, DirectLaneBatch or CypLaneBatch
+  /// kernel (see EngineConfig::batch_lanes and lane_jobs_per_group); every
+  /// other measurement is its own job at width 1 on the Probe::step
+  /// fallback. Those stay width 1 on purpose: the fallback steps each
+  /// lane's probe on its own, so a wider job would save no solver work and
+  /// only serialise independent measurements onto one worker. Each result
+  /// is bitwise identical to run() with the same measurement, whatever the
+  /// lane width, lane order or parallelism; `sink` receives it as soon as
+  /// its job finishes. If measurements throw, the error of the
+  /// lowest-numbered failing job is rethrown after every job finished.
+  ///
+  /// Sharing contract (violations throw util::Error before anything
+  /// runs): no probe may serve two measurements. A front end may serve
+  /// several only at parallelism 1 and within one lane group (the
+  /// measurements no kernel batches count as one group). Those
+  /// measurements are then digitised in index order -- jobs run inline in
+  /// order, a group's jobs are consecutive chunks of it, and each job
+  /// digitises its lanes in order -- so the shared front end's noise
+  /// stream and drift advance exactly as in one run() after another.
+  /// Campaigns rely on this.
   void run_measurements(std::span<const Measurement> measurements,
                         std::size_t parallelism,
                         const MeasurementSink& sink) const;
+
+  /// Run a calibration campaign as one lane group at parallelism 1: one
+  /// prototype clone per run at that run's concentration, run ids
+  /// first_run_id + 1, + 2, ..., and the shared front end digitising in run
+  /// order. Results come back in run order (blanks first), bitwise identical
+  /// to one run() per run id on one probe and that front end.
+  std::vector<MeasurementResult> run_campaign(const Campaign& campaign) const;
 
   /// Reserve `n` consecutive run ids; returns the pre-reservation counter
   /// value, so the reserved ids are base+1 .. base+n -- exactly what the

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace idp::quant {
@@ -79,6 +83,119 @@ TEST(CalibrationStore, RejectsDegenerateCampaigns) {
   config.blank_measurements = 1;
   EXPECT_THROW(CalibrationStore{config}, std::invalid_argument);
 }
+
+// ---------------------------------------------------------------------------
+// Campaign equivalence: a campaign runs as one lane group, every run a
+// probe clone at its concentration, all through one front end digitising in
+// run order. It must equal, bit for bit, the plain sequential campaign --
+// one probe and one front end, one engine.run per run id -- on a pristine
+// and on an aged sensor, for every lane kernel (oxidase CA, CYP CV, direct
+// CA).
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The reference: recalibrate's blanks and sweep, one run after another.
+/// Seeding follows recalibrate's contract (engine seed = config.seed, runs
+/// block + 1 ..., front-end seed derived from the block).
+Calibration sequential_campaign(const CampaignConfig& config,
+                                bio::TargetId target,
+                                const fault::SensorState& sensor,
+                                std::uint64_t block) {
+  sim::EngineConfig engine_config;
+  engine_config.seed = config.seed;
+  const sim::MeasurementEngine engine(engine_config);
+  bio::ProbePtr probe = make_campaign_probe(config, target);
+  afe::AnalogFrontEnd frontend(campaign_frontend_config(
+      config, config.seed + 0x5ca1ab1eULL + block * 0x9e3779b97f4a7c15ULL));
+  const sim::ChannelProtocol protocol = default_protocol_for(config, target);
+  const std::string name = bio::to_string(target);
+
+  std::uint64_t run_id = block;
+  auto run_once = [&] {
+    const sim::MeasurementResult r = engine.run(
+        {++run_id, sim::Channel{probe.get(), nullptr, sensor}, protocol,
+         &frontend});
+    return panel_response(target, r.amperogram, r.voltammogram);
+  };
+  Calibration calibration;
+  probe->set_bulk_concentration(name, 0.0);
+  for (int b = 0; b < config.blank_measurements; ++b) {
+    calibration.curve.add_blank(run_once());
+  }
+  const bio::TargetSpec& spec = bio::spec(target);
+  const double lo = std::max(spec.linear_lo_mM, 1e-6);
+  const double hi = spec.linear_hi_mM;
+  const int n = config.calibration_points;
+  for (int i = 0; i < n; ++i) {
+    const double c =
+        lo + static_cast<double>(i) / static_cast<double>(n - 1) * (hi - lo);
+    probe->set_bulk_concentration(name, c);
+    calibration.curve.add_point(c, run_once());
+  }
+  calibration.quantifier = Quantifier(calibration.curve, config.quantifier);
+  return calibration;
+}
+
+void expect_bitwise(const std::vector<double>& a, const std::vector<double>& b,
+                    const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(bits(a[i]), bits(b[i])) << what << " " << i;
+  }
+}
+
+class CampaignEquivalence : public ::testing::TestWithParam<bio::TargetId> {};
+
+TEST_P(CampaignEquivalence, RecalibrateEqualsTheSequentialLoopBitwise) {
+  const bio::TargetId target = GetParam();
+  const CampaignConfig config = test_config();
+  const CalibrationStore store(config);
+
+  fault::SensorState aged;
+  aged.age_days = 12.0;
+  aged.enzyme_activity = 0.85;
+  aged.membrane_transmission = 0.75;  // fouling
+  aged.reference_shift_V = -0.012;
+  aged.afe_gain = 1.04;
+  aged.afe_offset_A = -3.0e-11;
+  const fault::SensorState states[] = {fault::SensorState{}, aged};
+  std::uint64_t block = 7 * CalibrationStore::kRunsPerCampaignBlock;
+  for (const fault::SensorState& sensor : states) {
+    SCOPED_TRACE(sensor.is_identity() ? "pristine sensor" : "aged sensor");
+    block += CalibrationStore::kRunsPerCampaignBlock;
+    const Calibration lanes = store.recalibrate(
+        target, default_protocol_for(config, target), sensor, block);
+    const Calibration reference =
+        sequential_campaign(config, target, sensor, block);
+
+    expect_bitwise(lanes.curve.blanks(), reference.curve.blanks(), "blank");
+    expect_bitwise(lanes.curve.concentrations(),
+                   reference.curve.concentrations(), "concentration");
+    expect_bitwise(lanes.curve.responses(), reference.curve.responses(),
+                   "response");
+    const Quantifier& q = lanes.quantifier;
+    const Quantifier& r = reference.quantifier;
+    ASSERT_EQ(q.valid(), r.valid());
+    EXPECT_EQ(bits(q.fit().slope), bits(r.fit().slope));
+    EXPECT_EQ(bits(q.fit().intercept), bits(r.fit().intercept));
+    EXPECT_EQ(bits(q.fit().r_squared), bits(r.fit().r_squared));
+    EXPECT_EQ(bits(q.fit().residual_rms), bits(r.fit().residual_rms));
+    EXPECT_EQ(bits(q.c_low()), bits(r.c_low()));
+    EXPECT_EQ(bits(q.c_high()), bits(r.c_high()));
+    EXPECT_EQ(bits(q.blank_mean()), bits(r.blank_mean()));
+    EXPECT_EQ(bits(q.lod_signal()), bits(r.lod_signal()));
+    EXPECT_EQ(bits(q.response_sigma()), bits(r.response_sigma()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LaneKernels, CampaignEquivalence,
+                         ::testing::Values(bio::TargetId::kGlucose,
+                                           bio::TargetId::kBenzphetamine,
+                                           bio::TargetId::kDopamine),
+                         [](const auto& param_info) {
+                           return bio::to_string(param_info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Round trip: measure a known concentration the same way the campaign

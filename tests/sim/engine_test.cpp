@@ -10,6 +10,7 @@
 
 #include "bio/library.hpp"
 #include "dsp/peaks.hpp"
+#include "util/error.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -258,10 +259,10 @@ TEST(Engine, LaneBatchedMeasurementsMatchScalarAtEveryWidth) {
   // mixes two potentials in one lane group), CYP sweeps of two protocols
   // (one with a working electrode, so its lane adds charging current), a
   // stressed sensor state (reference shift, interference storm, AFE gain
-  // and offset) on every third measurement, and measurements no kernel
-  // batches (direct probes under CA and CV, an oxidase under CV). Every
-  // width and parallelism must give the scalar results bit for bit, in
-  // index order.
+  // and offset) on every third measurement, a direct-probe CA pair
+  // (DirectLaneBatch lanes at widths 2 and 3) and measurements no kernel
+  // batches (a direct probe and an oxidase under CV). Every width and
+  // parallelism must give the scalar results bit for bit, in index order.
   const bio::TargetId ca_targets[] = {
       bio::TargetId::kGlucose, bio::TargetId::kLactate,
       bio::TargetId::kGlutamate, bio::TargetId::kGlucose,
@@ -356,6 +357,131 @@ TEST(Engine, LaneBatchedMeasurementsMatchScalarAtEveryWidth) {
                   std::bit_cast<std::uint64_t>(scalar[i]))
             << "lanes " << lanes << ", parallelism " << parallelism
             << ", value " << i;
+      }
+    }
+  }
+}
+
+/// `n` glucose probes at distinct concentrations for the sharing tests.
+std::vector<bio::ProbePtr> glucose_probes(std::size_t n) {
+  std::vector<bio::ProbePtr> probes;
+  for (std::size_t i = 0; i < n; ++i) {
+    probes.push_back(bio::make_probe(bio::TargetId::kGlucose));
+    probes.back()->set_bulk_concentration("glucose",
+                                          0.5 * static_cast<double>(i));
+  }
+  return probes;
+}
+
+ChronoamperometryProtocol short_ca() {
+  ChronoamperometryProtocol ca;
+  ca.potential = 550_mV;
+  ca.duration = 2.0;
+  return ca;
+}
+
+TEST(Engine, RunMeasurementsRejectsASharedProbe) {
+  const MeasurementEngine engine;
+  auto probes = glucose_probes(1);
+  afe::AnalogFrontEnd fe1 = lab_frontend(1), fe2 = lab_frontend(2);
+  const std::vector<Measurement> measurements{
+      {1, Channel{probes[0].get(), nullptr}, short_ca(), &fe1},
+      {2, Channel{probes[0].get(), nullptr}, short_ca(), &fe2}};
+  const auto ignore = [](std::size_t, MeasurementResult&&) {};
+  EXPECT_THROW(engine.run_measurements(measurements, 1, ignore), util::Error);
+}
+
+TEST(Engine, RunMeasurementsRejectsAFrontEndSharedOffParallelismOne) {
+  const MeasurementEngine engine;
+  auto probes = glucose_probes(4);
+  afe::AnalogFrontEnd fe = lab_frontend();
+  std::vector<Measurement> measurements;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    measurements.push_back(
+        {i + 1, Channel{probes[i].get(), nullptr}, short_ca(), &fe});
+  }
+  const auto ignore = [](std::size_t, MeasurementResult&&) {};
+  EXPECT_THROW(engine.run_measurements(measurements, 2, ignore), util::Error);
+  EXPECT_THROW(engine.run_measurements(measurements, 0, ignore), util::Error);
+  EXPECT_NO_THROW(engine.run_measurements(measurements, 1, ignore));
+}
+
+TEST(Engine, RunMeasurementsRejectsAFrontEndSharedAcrossLaneGroups) {
+  const MeasurementEngine engine;
+  auto probes = glucose_probes(2);
+  auto dopamine = bio::make_probe(bio::TargetId::kDopamine);
+  ChronoamperometryProtocol longer = short_ca();
+  longer.duration = 3.0;
+  CyclicVoltammetryProtocol cv;
+  cv.e_start = 0.1;
+  cv.e_vertex = -0.3;
+  cv.scan_rate = 0.1;
+  const auto ignore = [](std::size_t, MeasurementResult&&) {};
+  afe::AnalogFrontEnd fe = lab_frontend();
+  // Two kernels (oxidase and direct lanes).
+  const std::vector<Measurement> kernels{
+      {1, Channel{probes[0].get(), nullptr}, short_ca(), &fe},
+      {2, Channel{dopamine.get(), nullptr}, short_ca(), &fe}};
+  EXPECT_THROW(engine.run_measurements(kernels, 1, ignore), util::Error);
+  // One kernel, two timelines.
+  const std::vector<Measurement> timelines{
+      {1, Channel{probes[0].get(), nullptr}, short_ca(), &fe},
+      {2, Channel{probes[1].get(), nullptr}, longer, &fe}};
+  EXPECT_THROW(engine.run_measurements(timelines, 1, ignore), util::Error);
+  // A lane group and a measurement no kernel batches (oxidase under CV).
+  const std::vector<Measurement> scalar{
+      {1, Channel{probes[0].get(), nullptr}, short_ca(), &fe},
+      {2, Channel{probes[1].get(), nullptr}, cv, &fe}};
+  EXPECT_THROW(engine.run_measurements(scalar, 1, ignore), util::Error);
+}
+
+TEST(Engine, SharedFrontEndDigitisesInIndexOrder) {
+  // A campaign's shape: one lane group through one front end, each run on
+  // its own sensor state (so each lane's front-end drift must be set just
+  // before that lane is digitised). At every lane width the results equal
+  // one run() after another through one front end, bit for bit.
+  std::vector<fault::SensorState> sensors(6);
+  for (std::size_t i = 0; i < sensors.size(); ++i) {
+    sensors[i].afe_gain = 1.0 + 0.01 * static_cast<double>(i);
+    sensors[i].afe_offset_A = -1.0e-10 * static_cast<double>(i);
+  }
+  auto probes = glucose_probes(sensors.size());
+  auto measurements_through = [&](afe::AnalogFrontEnd& fe) {
+    std::vector<Measurement> measurements;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      measurements.push_back({11 + i,
+                              Channel{probes[i].get(), nullptr, sensors[i]},
+                              short_ca(), &fe});
+    }
+    return measurements;
+  };
+
+  const MeasurementEngine scalar_engine;
+  afe::AnalogFrontEnd reference_fe = lab_frontend();
+  std::vector<std::vector<double>> reference;
+  for (const Measurement& m : measurements_through(reference_fe)) {
+    reference.push_back(scalar_engine.run(m).amperogram.value());
+  }
+
+  for (const std::size_t lanes : {1u, 4u, 0u}) {
+    EngineConfig config;
+    config.batch_lanes = lanes;
+    const MeasurementEngine engine(config);
+    afe::AnalogFrontEnd fe = lab_frontend();
+    std::vector<std::vector<double>> results(probes.size());
+    std::vector<std::size_t> order;
+    engine.run_measurements(measurements_through(fe), 1,
+                            [&](std::size_t i, MeasurementResult&& r) {
+                              order.push_back(i);
+                              results[i] = r.amperogram.value();
+                            });
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(results[i].size(), reference[i].size());
+      for (std::size_t s = 0; s < reference[i].size(); ++s) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(results[i][s]),
+                  std::bit_cast<std::uint64_t>(reference[i][s]))
+            << "lanes " << lanes << ", run " << i << ", sample " << s;
       }
     }
   }
