@@ -3,7 +3,8 @@
 /// kernel (scalar and SoA lane-batched), a single diffusion-field step,
 /// single-channel CA/CV runs, the multiplexed panel scan at several
 /// (parallelism, lane width) points, replayed CYP reads in lockstep lanes
-/// of width 1..8, one calibration campaign per lane kernel and a full
+/// of width 1..8, one calibration campaign per lane kernel, the noise
+/// generators of one short read, one two-read service request and a full
 /// design-space exploration.
 /// Writes google-benchmark JSON to
 /// BENCH_hot_path.json (override with --benchmark_out=...) so successive
@@ -28,7 +29,9 @@
 #include "core/panel.hpp"
 #include "fault/sensor_state.hpp"
 #include "quant/calibration_store.hpp"
+#include "serve/service.hpp"
 #include "sim/engine.hpp"
+#include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -346,6 +349,62 @@ BENCHMARK(BM_Campaign)
     ->DenseRange(0, 2)
     ->ArgName("target")
     ->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------------------ short reads
+
+/// The noise generators of one short read, built and drawn as the engine
+/// does: signal and blank white noise plus the shared drift process
+/// (seeded from the run id), then the front end's white and flicker
+/// generators, over the 10 samples of a 1 s chronoamperogram at 10 Hz.
+/// Each iteration is a fresh run id, so every generator is seeded anew.
+void BM_ShortReadNoise(benchmark::State& state) {
+  constexpr std::uint64_t kStride = 0x9e3779b97f4a7c15ULL;
+  const quant::CampaignConfig campaign;
+  std::uint64_t run_id = 1;
+  for (auto _ : state) {
+    const std::uint64_t seed = 1234 + run_id * kStride;
+    util::Rng white_signal(seed);
+    util::Rng white_blank(seed + 1);
+    util::DriftProcess drift(1e-10, 60.0, seed + 2);
+    afe::AnalogFrontEnd fe(
+        quant::campaign_frontend_config(campaign, 515 + run_id * kStride));
+    double sum = 0.0;
+    for (int s = 0; s < 10; ++s) {
+      const double d = drift.step(0.1);
+      sum += fe.sample(1e-8 + white_signal.gaussian(2e-11) + d,
+                       2e-10 + white_blank.gaussian(2e-11) + d);
+    }
+    benchmark::DoNotOptimize(sum);
+    ++run_id;
+  }
+}
+BENCHMARK(BM_ShortReadNoise);
+
+/// One two-read request end to end: DiagnosticsService::execute of a
+/// dopamine + etoposide panel scan (the `direct-live` panel) with the serve
+/// benches' short protocol. Both reads are direct-probe chronoamperometry
+/// on one grid, so at execute()'s parallelism 1 they step as one 2-lane
+/// job. Factory campaigns are built before timing.
+void BM_TwoReadRequest(benchmark::State& state) {
+  quant::CampaignConfig campaign;
+  campaign.calibration_points = 4;
+  campaign.blank_measurements = 4;
+  campaign.ca_duration_s = 1.0;
+  quant::CalibrationStore store(campaign);
+  serve::ServiceConfig config;
+  config.panel = {bio::TargetId::kDopamine, bio::TargetId::kEtoposide};
+  serve::DiagnosticsService service(store, config);
+  serve::Request request;
+  request.kind = serve::RequestKind::kPanelScan;
+  request.session.patient = 3;
+  request.time_h = 1.0;
+  request.concentrations_mM = {0.01, 0.05};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.execute(request).channels.size());
+    ++request.id;
+  }
+}
+BENCHMARK(BM_TwoReadRequest);
 
 // ------------------------------------------------------------- explorer
 

@@ -88,6 +88,7 @@ void Scheduler::note_admission(std::uint64_t id, Priority priority,
 }
 
 Admission Scheduler::submit(Request request) {
+  service_.validate(request);
   const std::uint64_t id = request.id;
   const Priority priority = request.priority;
   const auto tenant = static_cast<std::int32_t>(request.session.tenant);
@@ -98,6 +99,7 @@ Admission Scheduler::submit(Request request) {
 }
 
 Admission Scheduler::submit_wait(Request request) {
+  service_.validate(request);
   const std::uint64_t id = request.id;
   const Priority priority = request.priority;
   const auto tenant = static_cast<std::int32_t>(request.session.tenant);
@@ -109,6 +111,7 @@ Admission Scheduler::submit_wait(Request request) {
 
 Admission Scheduler::submit_wait_for(Request request,
                                      std::chrono::nanoseconds timeout) {
+  service_.validate(request);
   const std::uint64_t id = request.id;
   const Priority priority = request.priority;
   const auto tenant = static_cast<std::int32_t>(request.session.tenant);

@@ -88,7 +88,10 @@ class Scheduler {
   /// permanently; construct a fresh Scheduler instead).
   void start(ResultSink* sink = nullptr);
 
-  /// Non-blocking admission (explicit reject when full).
+  /// Non-blocking admission (explicit reject when full). Every submit path
+  /// first runs DiagnosticsService::validate, so a malformed request
+  /// throws std::invalid_argument to the caller before it is queued or
+  /// its admission span is recorded, never on a worker thread.
   Admission submit(Request request);
 
   /// Blocking admission (backpressure).

@@ -227,7 +227,7 @@ void DiagnosticsService::note_estimate(const Request& request,
   capture.observe("serve.service.estimate_mM", labels, estimate_mM);
 }
 
-RequestPlan DiagnosticsService::plan(const Request& request) {
+void DiagnosticsService::validate(const Request& request) const {
   const std::size_t n_channels = config_.panel.size();
   switch (request.kind) {
     case RequestKind::kPanelScan:
@@ -245,6 +245,16 @@ RequestPlan DiagnosticsService::plan(const Request& request) {
       util::require(request.channel < n_channels, "channel out of range");
       break;
   }
+  for (const double c : request.concentrations_mM) {
+    util::require(std::isfinite(c) && c >= 0.0,
+                  "concentrations must be finite and >= 0");
+  }
+  lease_base(request.id);  // throws for an id beyond the serve run-id domain
+}
+
+RequestPlan DiagnosticsService::plan(const Request& request) {
+  validate(request);
+  const std::size_t n_channels = config_.panel.size();
 
   RequestPlan plan;
   plan.request = &request;

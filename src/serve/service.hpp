@@ -155,6 +155,12 @@ class DiagnosticsService {
 
   // --- the three stages of execute(), for batched replay -------------------
 
+  /// Throw std::invalid_argument unless `request` can be served: its kind's
+  /// concentration count and channel, every concentration finite and
+  /// >= 0, and an id inside the serve run-id domain (lease_base). Touches
+  /// nothing, so a live scheduler calls it at admission.
+  void validate(const Request& request) const;
+
   /// Validate a request and resolve it to its reads: session, sensor age,
   /// epoch, run-id lease and, for a QC check, the standard level of the
   /// active (possibly freshly built) epoch calibration. Emits no telemetry.

@@ -26,10 +26,11 @@ namespace idp::sim {
 
 namespace {
 constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ULL;
-/// Fewest measurements a lockstep job packs: narrower jobs save too little
-/// per read (BM_CypLanes) to pay for serialising their reads onto one
-/// worker, and the floor keeps a single request (at most two compatible
-/// reads) on the scalar path.
+/// Fewest measurements a lockstep job packs while several workers share a
+/// run: narrower jobs save too little per read (BM_CypLanes) to pay for
+/// serialising their reads onto one worker while the others idle. One
+/// worker serialises every read anyway, so there two reads make a job (a
+/// two-read request: a panel scan of two channels, or a QC pair).
 constexpr std::size_t kMinLaneFill = 4;
 /// Widest lockstep job under the automatic rule (EngineConfig::batch_lanes
 /// = 0): two AVX registers of doubles per solver row.
@@ -324,7 +325,8 @@ CvCurve MeasurementEngine::run_cyclic_voltammetry_seeded(
 std::vector<std::size_t> lane_jobs_per_group(
     std::span<const std::size_t> group_sizes, std::size_t scalar_jobs,
     std::size_t workers, std::size_t max_width) {
-  const std::size_t fill = std::min(kMinLaneFill, max_width);
+  const std::size_t fill =
+      std::min(workers > 1 ? kMinLaneFill : std::size_t{2}, max_width);
   std::vector<std::size_t> jobs(group_sizes.size(), 0);
   std::size_t total = scalar_jobs;
   for (std::size_t g = 0; g < group_sizes.size(); ++g) {

@@ -95,12 +95,15 @@ using MeasurementSink =
 /// measurements run alone. Returns, per group, the number of lockstep jobs
 /// it splits into (near-equal consecutive chunks), or 0 when it runs
 /// scalar. Groups start at `max_width` lanes a job and split further only
-/// while there are fewer jobs than `workers`, never below min(4,
-/// max_width) lanes a job; a group that cannot fill that many lanes runs
-/// scalar, and so does everything when max_width < 2.
+/// while there are fewer jobs than `workers`, never below the fill floor:
+/// min(4, max_width) lanes a job with several workers, min(2, max_width)
+/// with one. A group that cannot fill the floor runs scalar, and so does
+/// everything when max_width < 2.
 /// Lockstep lanes cut the cost per measurement (one SoA solve for W
 /// systems) but serialise W measurements onto one worker: wide lanes win
-/// only while they still leave every worker a job.
+/// only while they still leave every worker a job. With one worker every
+/// measurement is serialised anyway, so any two compatible reads (one
+/// two-read request) step as one job.
 std::vector<std::size_t> lane_jobs_per_group(
     std::span<const std::size_t> group_sizes, std::size_t scalar_jobs,
     std::size_t workers, std::size_t max_width);

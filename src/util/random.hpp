@@ -2,7 +2,11 @@
 /// Deterministic random sources for noise modelling.
 ///
 /// Every stochastic component of the platform takes an explicit seed so that
-/// simulations, tests and benches are bit-reproducible run to run.
+/// simulations, tests and benches are bit-reproducible run to run. The
+/// engine is Mt19937_64, which returns std::mt19937_64's exact sequence but
+/// seeds and twists its first generation only as far as the draws reach:
+/// a short read draws 10-30 numbers per stream, where the standard engine
+/// pays for 312 seeded and 312 twisted state words up front.
 #pragma once
 
 #include <array>
@@ -11,7 +15,59 @@
 
 namespace idp::util {
 
-/// Thin deterministic wrapper around std::mt19937_64.
+/// The 64-bit Mersenne Twister, output-for-output equal to std::mt19937_64
+/// for every seed, with a lazy first generation.
+///
+/// Seeding stores the seed word alone. The first generation is twisted on
+/// demand: a draw past the twisted prefix doubles it (words 0, 1, 2-3,
+/// 4-7, ...), seeding first only the words those twists read (twisting
+/// word k < 156 reads seeded words k, k+1 and k+156). A read of 20 draws
+/// thus seeds 188 words and twists 32, not 312 and 312. Later generations
+/// twist all 312 words at once, as libstdc++ does, so a long stream pays
+/// the same single branch per draw. Doubling rather than one word per draw
+/// keeps a long stream's first generation at ~10 out-of-line calls.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type value) { seed(value); }
+
+  void seed(result_type value) {
+    x_[0] = value;
+    seeded_ = 1;
+    ready_ = 0;
+    pos_ = 0;
+  }
+
+  result_type operator()() {
+    if (pos_ == ready_) [[unlikely]] advance();
+    return temper(x_[pos_++]);
+  }
+
+ private:
+  static constexpr std::uint32_t kN = 312;  ///< state words
+  static constexpr std::uint32_t kM = 156;  ///< twist offset
+
+  static result_type temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Make output pos_ ready: extend the first generation's twisted
+  /// prefix, or twist the whole next generation.
+  void advance();
+
+  std::array<result_type, kN> x_{};
+  std::uint32_t pos_ = 0;     ///< next output word
+  std::uint32_t ready_ = 0;   ///< words [0, ready_) hold twisted outputs
+  std::uint32_t seeded_ = 0;  ///< first generation: words [0, seeded_) seeded
+};
+
+/// Thin deterministic wrapper around Mt19937_64.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
@@ -38,7 +94,7 @@ class Rng {
   }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   std::normal_distribution<double> normal_{0.0, 1.0};
   std::uniform_real_distribution<double> uniform_{0.0, 1.0};
 };

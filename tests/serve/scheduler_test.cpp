@@ -4,16 +4,20 @@
 /// cross-shard aggregation it claims to be, live-mode CSV output is byte
 /// identical to the replay of the same log, and the lifecycle edges
 /// (drain_and_stop idempotent, restart-after-drain throws, attaching
-/// telemetry while running throws, empty replay).
+/// telemetry while running throws, malformed submits throw at admission,
+/// empty replay).
 
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -188,6 +192,83 @@ TEST(Scheduler, AttachingTelemetryWhileRunningThrows) {
   }
   EXPECT_EQ(queue_waits, log.size());
   EXPECT_EQ(scheduler.completed(), log.size());
+}
+
+/// Keeps every live response (one worker: no locking needed).
+struct CollectingSink : ResultSink {
+  std::vector<Response> responses;
+  void on_response(const Response& response) override {
+    responses.push_back(response);
+  }
+  void on_telemetry(const RequestTelemetry&) override {}
+  void close() override {}
+};
+
+TEST(Scheduler, MalformedSubmitsThrowAtAdmissionAndServingGoesOn) {
+  // A malformed request must be refused at admission: once queued, plan()
+  // or the probe would throw it on the worker thread and end the process.
+  // Every submit path throws std::invalid_argument to the caller before
+  // queueing or recording an admission span, and the worker serves what
+  // follows.
+  ServiceConfig config = service_config();
+  config.panel = {bio::TargetId::kDopamine, bio::TargetId::kEtoposide};
+  DiagnosticsService service(shared_store(), config);
+  obs::TraceRecorder trace;
+  Scheduler scheduler(service, SchedulerConfig{.queue = {}, .workers = 1});
+  scheduler.set_trace(&trace);
+  CollectingSink sink;
+  scheduler.start(&sink);
+
+  auto request = [](std::uint64_t id, RequestKind kind,
+                    std::vector<double> concentrations_mM) {
+    Request r;
+    r.id = id;
+    r.kind = kind;
+    r.session.patient = 7;
+    r.time_h = 30.0;
+    r.concentrations_mM = std::move(concentrations_mM);
+    return r;
+  };
+  const std::vector<Request> malformed = {
+      request(1, RequestKind::kPanelScan, {0.01}),  // one channel of two
+      request(2, RequestKind::kQuantifiedRead, {-1.0}),
+      request(3, RequestKind::kPanelScan,
+              {0.01, std::numeric_limits<double>::quiet_NaN()}),
+      request(4, RequestKind::kQuantifiedRead,
+              {std::numeric_limits<double>::infinity()}),
+      request(std::numeric_limits<std::uint64_t>::max(),
+              RequestKind::kPanelScan, {0.01, 0.02}),  // beyond lease_base
+      request(6, RequestKind::kQcCheck, {0.01}),
+  };
+  for (const Request& r : malformed) {
+    EXPECT_THROW(scheduler.submit(r), std::invalid_argument) << r.id;
+    EXPECT_THROW(scheduler.submit_wait(r), std::invalid_argument) << r.id;
+    EXPECT_THROW(scheduler.submit_wait_for(r, std::chrono::milliseconds(1)),
+                 std::invalid_argument)
+        << r.id;
+  }
+  const Request valid = request(10, RequestKind::kPanelScan, {0.01, 0.02});
+  ASSERT_EQ(scheduler.submit_wait(valid), Admission::kAccepted);
+  scheduler.drain_and_stop();
+
+  EXPECT_EQ(scheduler.queue_stats().offered, 1u);
+  EXPECT_EQ(scheduler.completed(), 1u);
+  std::size_t admissions = 0;
+  for (const obs::TraceEvent& e : trace.sorted()) {
+    if (e.kind == obs::SpanKind::kAdmission) ++admissions;
+  }
+  EXPECT_EQ(admissions, 1u);
+  ASSERT_EQ(sink.responses.size(), 1u);
+  // The served two-read scan equals a fresh service's execute().
+  DiagnosticsService fresh(shared_store(), config);
+  const Response expected = fresh.execute(valid);
+  const Response& got = sink.responses.front();
+  ASSERT_EQ(got.channels.size(), expected.channels.size());
+  for (std::size_t c = 0; c < expected.channels.size(); ++c) {
+    EXPECT_EQ(got.channels[c].response, expected.channels[c].response);
+    EXPECT_EQ(got.channels[c].estimate.value,
+              expected.channels[c].estimate.value);
+  }
 }
 
 TEST(Scheduler, ReplayOfEmptyLogIsEmpty) {

@@ -10,6 +10,7 @@
 
 #include "bio/library.hpp"
 #include "dsp/peaks.hpp"
+#include "quant/calibration_store.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -245,8 +246,12 @@ TEST(Engine, LaneRuleKeepsEveryWorkerBusy) {
   EXPECT_EQ(lane_jobs_per_group(Sizes{8}, 3, 4, 8), Sizes{1});
   // The group with the widest jobs splits first.
   EXPECT_EQ(lane_jobs_per_group(Sizes{6, 16}, 0, 4, 8), (Sizes{1, 3}));
-  // A group that cannot fill 4 lanes runs scalar.
-  EXPECT_EQ(lane_jobs_per_group(Sizes{3, 1}, 0, 1, 8), (Sizes{0, 0}));
+  // With several workers a group that cannot fill 4 lanes runs scalar;
+  // one worker serialises every read anyway, so there 2 lanes make a job.
+  EXPECT_EQ(lane_jobs_per_group(Sizes{3, 1}, 0, 1, 8), (Sizes{1, 0}));
+  EXPECT_EQ(lane_jobs_per_group(Sizes{2}, 0, 1, 8), Sizes{1});
+  EXPECT_EQ(lane_jobs_per_group(Sizes{2}, 0, 4, 8), Sizes{0});
+  EXPECT_EQ(lane_jobs_per_group(Sizes{3, 2}, 0, 2, 8), (Sizes{0, 0}));
   // Explicit widths cap the job and lower the fill floor with it; width 1
   // disables lanes.
   EXPECT_EQ(lane_jobs_per_group(Sizes{5}, 0, 1, 2), Sizes{3});
@@ -357,6 +362,87 @@ TEST(Engine, LaneBatchedMeasurementsMatchScalarAtEveryWidth) {
                   std::bit_cast<std::uint64_t>(scalar[i]))
             << "lanes " << lanes << ", parallelism " << parallelism
             << ", value " << i;
+      }
+    }
+  }
+}
+
+TEST(Engine, TwoReadRequestsMatchSeededRunsAtParallelismOne) {
+  // At parallelism 1 two compatible reads -- one two-read request -- step
+  // as one 2-lane job: a dopamine + etoposide panel scan (DirectLaneBatch),
+  // an oxidase QC blank + standard (OxidaseLaneBatch) and a CYP CV pair
+  // (CypLaneBatch), each through the serve layer's short campaign protocol
+  // on an aged sensor. Every read must equal its own seeded run bit for
+  // bit.
+  quant::CampaignConfig campaign;
+  campaign.ca_duration_s = 1.0;
+  fault::SensorState aged;
+  aged.enzyme_activity = 0.9;
+  aged.reference_shift_V = -0.02;
+  aged.storm_current_A = 1e-9;
+  aged.afe_gain = 1.02;
+  aged.afe_offset_A = 1e-10;
+  struct Read {
+    bio::TargetId target;
+    double concentration_mM;
+  };
+  const Read requests[][2] = {
+      {{bio::TargetId::kDopamine, 0.02}, {bio::TargetId::kEtoposide, 0.05}},
+      {{bio::TargetId::kGlucose, 0.0}, {bio::TargetId::kGlucose, 5.0}},
+      {{bio::TargetId::kBenzphetamine, 0.0},
+       {bio::TargetId::kBenzphetamine, 1.0}}};
+  ASSERT_EQ(lane_jobs_per_group(std::vector<std::size_t>{2}, 0, 1, 8),
+            std::vector<std::size_t>{1});
+
+  const MeasurementEngine engine;
+  for (const auto& request : requests) {
+    std::vector<bio::ProbePtr> probes;
+    std::vector<std::unique_ptr<afe::AnalogFrontEnd>> fes;
+    std::vector<Measurement> measurements;
+    for (std::size_t r = 0; r < 2; ++r) {
+      probes.push_back(quant::make_campaign_probe(campaign, request[r].target));
+      probes.back()->set_bulk_concentration(
+          bio::to_string(request[r].target), request[r].concentration_mM);
+      fes.push_back(std::make_unique<afe::AnalogFrontEnd>(
+          quant::campaign_frontend_config(campaign, 900 + r)));
+      measurements.push_back(Measurement{
+          7000 + r, Channel{probes.back().get(), nullptr, aged},
+          quant::default_protocol_for(campaign, request[r].target),
+          fes.back().get()});
+    }
+    std::vector<MeasurementResult> batched(2);
+    engine.run_measurements(measurements, 1,
+                            [&](std::size_t i, MeasurementResult&& r) {
+                              batched[i] = std::move(r);
+                            });
+
+    for (std::size_t r = 0; r < 2; ++r) {
+      const Measurement& m = measurements[r];
+      afe::AnalogFrontEnd fe(
+          quant::campaign_frontend_config(campaign, 900 + r));
+      std::vector<double> expected, got;
+      if (const auto* ca =
+              std::get_if<ChronoamperometryProtocol>(&m.protocol)) {
+        const Trace scalar =
+            engine.run_chronoamperometry_seeded(m.run_id, m.channel, *ca, fe);
+        expected.assign(scalar.value().begin(), scalar.value().end());
+        got.assign(batched[r].amperogram.value().begin(),
+                   batched[r].amperogram.value().end());
+      } else {
+        const CvCurve scalar = engine.run_cyclic_voltammetry_seeded(
+            m.run_id, m.channel,
+            std::get<CyclicVoltammetryProtocol>(m.protocol), fe);
+        expected.assign(scalar.current().begin(), scalar.current().end());
+        got.assign(batched[r].voltammogram.current().begin(),
+                   batched[r].voltammogram.current().end());
+      }
+      ASSERT_FALSE(expected.empty());
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(expected[i]))
+            << bio::to_string(request[r].target) << " read " << r
+            << ", sample " << i;
       }
     }
   }
